@@ -10,7 +10,6 @@
 #include "opmap/common/parallel.h"
 #include "opmap/common/status.h"
 #include "opmap/common/trace.h"
-#include "opmap/cube/count_kernels.h"
 #include "opmap/data/call_log.h"
 
 namespace opmap::bench {
@@ -81,29 +80,6 @@ inline ParallelOptions ThreadsOf(const Flags& flags) {
   ParallelOptions parallel;
   parallel.num_threads = static_cast<int>(flags.GetInt("threads", 0));
   return parallel;
-}
-
-/// --kernel=reference|blocked|simd counting-kernel selection for the
-/// before/after benches. Returns true when the flag was passed, setting
-/// `*kernel` and `*suffix` ("/reference", "/blocked" or "/simd", appended
-/// to op names so BENCH_counting.json holds comparable record tuples).
-/// Absent flag leaves both untouched (library default, no suffix); an
-/// invalid value exits with the CLI's InvalidArgument code (4), naming
-/// the --kernel flag.
-inline bool KernelOf(const Flags& flags, CountKernel* kernel,
-                     std::string* suffix) {
-  const std::string name = flags.GetString("kernel");
-  if (name.empty()) return false;
-  const Result<CountKernel> parsed = ParseCountKernel(name);
-  if (!parsed.ok()) {
-    std::fprintf(stderr,
-                 "FATAL: --kernel=%s (expected reference, blocked or simd)\n",
-                 name.c_str());
-    std::exit(4);
-  }
-  *kernel = parsed.value();
-  *suffix = "/" + name;
-  return true;
 }
 
 /// Aborts with a message if `status` is not OK. Benchmarks are binaries;

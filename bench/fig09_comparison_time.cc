@@ -6,14 +6,12 @@
 //
 // Flags: --records=N (default 20000; does NOT affect the comparison time,
 //        which is the point), --reps=N (default 50), --threads=N (default
-//        auto), --json=FILE (append measurements to the trajectory file).
+//        auto).
 
 #include <algorithm>
 #include <cstdio>
-#include <string>
 #include <vector>
 
-#include "opmap/common/bench_json.h"
 #include "bench_util.h"
 #include "opmap/compare/comparator.h"
 #include "opmap/cube/cube_store.h"
@@ -52,7 +50,6 @@ void Main(int argc, char** argv) {
   const int64_t records = flags.GetInt("records", 20000);
   const int reps = static_cast<int>(flags.GetInt("reps", 50));
   const ParallelOptions parallel = bench::ThreadsOf(flags);
-  const std::string json = flags.GetString("json");
 
   bench::PrintHeader(
       "Fig 9", "comparison computation time vs number of attributes");
@@ -74,14 +71,6 @@ void Main(int argc, char** argv) {
     const double ms = MeasureComparisonMillis(store, reps, parallel);
     series.emplace_back(attrs, ms);
     std::printf("%-12d %-18.3f %-16.5f\n", attrs, ms, ms / attrs);
-    if (!json.empty()) {
-      bench::BenchRecord record;
-      record.op = "fig09/compare/attrs=" + std::to_string(attrs);
-      record.threads = EffectiveThreads(parallel);
-      record.wall_ms = ms;
-      record.items_per_s = 1e3 / ms;
-      bench::CheckOk(bench::AppendBenchRecord(json, record), "bench json");
-    }
   }
 
   // The paper's Section V.C claim: "the computation time is not affected

@@ -5,17 +5,12 @@
 // offline step ("done in the evening").
 //
 // Flags: --records=N (default 200000; pass 2000000 for paper scale),
-//        --threads=N (default auto), --json=FILE (append measurements to
-//        the benchmark trajectory file),
-//        --kernel=reference|blocked (pin the counting kernel and suffix
-//        op names with "/reference" or "/blocked" so run_bench.sh can
-//        emit before/after pairs into BENCH_counting.json).
+//        --threads=N (default auto). OPMAP_KERNEL=reference|blocked|simd
+//        pins the counting kernel.
 
 #include <cstdio>
-#include <string>
 #include <vector>
 
-#include "opmap/common/bench_json.h"
 #include "bench_util.h"
 #include "opmap/cube/cube_store.h"
 
@@ -26,10 +21,6 @@ void Main(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const int64_t records = flags.GetInt("records", 200000);
   const ParallelOptions parallel = bench::ThreadsOf(flags);
-  const std::string json = flags.GetString("json");
-  CountKernel kernel = CountKernel::kBlocked;
-  std::string op_suffix;
-  bench::KernelOf(flags, &kernel, &op_suffix);
 
   bench::PrintHeader("Fig 10",
                      "rule-cube generation time vs number of attributes");
@@ -51,21 +42,11 @@ void Main(int argc, char** argv) {
     CubeStoreOptions options;
     for (int a = 0; a < attrs; ++a) options.attributes.push_back(a);
     options.parallel = parallel;
-    options.kernel = kernel;
     const int64_t start_us = MonotonicMicros();
     CubeStore store = bench::ValueOrDie(
         CubeBuilder::FromDataset(dataset, options), "cube build");
     const double seconds = bench::SecondsSince(start_us);
     series.emplace_back(attrs, seconds);
-    if (!json.empty()) {
-      bench::BenchRecord record;
-      record.op =
-          "fig10/cubegen/attrs=" + std::to_string(attrs) + op_suffix;
-      record.threads = EffectiveThreads(parallel);
-      record.wall_ms = seconds * 1e3;
-      record.items_per_s = static_cast<double>(records) / seconds;
-      bench::CheckOk(bench::AppendBenchRecord(json, record), "bench json");
-    }
     int64_t cells = 0;
     for (int a : store.attributes()) {
       cells += bench::ValueOrDie(store.AttrCube(a), "cube")->num_cells();

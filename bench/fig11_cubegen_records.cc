@@ -5,14 +5,11 @@
 // never has to exist in memory.
 //
 // Flags: --base-records=N (default 250000; paper used 2000000),
-//        --attributes=N (default 160), --threads=N (default auto),
-//        --json=FILE (append measurements to the trajectory file).
+//        --attributes=N (default 160), --threads=N (default auto).
 
 #include <cstdio>
-#include <string>
 #include <vector>
 
-#include "opmap/common/bench_json.h"
 #include "bench_util.h"
 #include "opmap/cube/cube_store.h"
 
@@ -24,7 +21,6 @@ void Main(int argc, char** argv) {
   const int64_t base = flags.GetInt("base-records", 150000);
   const int attrs = static_cast<int>(flags.GetInt("attributes", 160));
   const ParallelOptions parallel = bench::ThreadsOf(flags);
-  const std::string json = flags.GetString("json");
 
   bench::PrintHeader("Fig 11",
                      "rule-cube generation time vs number of records");
@@ -54,14 +50,6 @@ void Main(int argc, char** argv) {
     const double seconds = bench::SecondsSince(start_us);
     const int64_t records = store.num_records();
     series.emplace_back(records, seconds);
-    if (!json.empty()) {
-      bench::BenchRecord record;
-      record.op = "fig11/cubegen/records=" + std::to_string(records);
-      record.threads = EffectiveThreads(parallel);
-      record.wall_ms = seconds * 1e3;
-      record.items_per_s = static_cast<double>(records) / seconds;
-      bench::CheckOk(bench::AppendBenchRecord(json, record), "bench json");
-    }
     std::printf("%-14lld %-12d %-14.2f %-20.1f\n",
                 static_cast<long long>(records), times, seconds,
                 static_cast<double>(records) / 1e3 / seconds);

@@ -89,7 +89,10 @@ std::string RuleSetSummary::ToString(const Schema& schema) const {
   }
   out += "; per length:";
   for (const auto& [len, count] : per_length) {
-    out += " " + std::to_string(len) + "-cond=" + std::to_string(count);
+    out.append(" ")
+        .append(std::to_string(len))
+        .append("-cond=")
+        .append(std::to_string(count));
   }
   out += "; support " + FormatPercent(min_support, 3) + ".." +
          FormatPercent(max_support, 3);

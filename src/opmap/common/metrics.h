@@ -76,8 +76,8 @@ class Histogram {
   std::atomic<int64_t> max_{0};
 };
 
-/// Point-in-time copy of every registered metric, for printing, embedding
-/// in bench records, or scraping by a future daemon.
+/// Point-in-time copy of every registered metric, for printing or for the
+/// daemon's stats reply.
 struct MetricsSnapshot {
   struct HistogramStats {
     int64_t count = 0;
@@ -134,7 +134,7 @@ struct MetricsFormatOptions {
   /// Omit histograms whose count is 0. The registry pre-registers the
   /// query.*_us class histograms so they exist even in runs that never
   /// exercise them; with this set, such all-zero rows are dropped instead
-  /// of bloating --stats output and every embedded bench "stats" block.
+  /// of bloating --stats output and every daemon stats reply.
   bool skip_zero_histograms = false;
 };
 
@@ -144,8 +144,8 @@ std::string FormatMetricsTable(const MetricsSnapshot& snapshot,
                                const MetricsFormatOptions& options = {});
 
 /// Flat single-line JSON object: counters and gauges by name, histograms
-/// as name.count / name.p50 / name.p99. Embedded as the "stats" block in
-/// bench records so tools/check_bench.py can assert invariants.
+/// as name.count / name.p50 / name.p99. The body of the daemon's stats
+/// reply.
 std::string FormatMetricsJson(const MetricsSnapshot& snapshot,
                               const MetricsFormatOptions& options = {});
 

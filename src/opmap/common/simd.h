@@ -38,8 +38,7 @@ enum class SimdLevel {
 /// compile-time gates: an OPMAP_NO_SIMD build always reports kNone.
 SimdLevel CurrentSimdLevel();
 
-/// "none", "avx2", or "neon" — embedded in bench records (the "simd"
-/// field of BENCH_simd.json) and printed by --stats surfaces.
+/// "none", "avx2", or "neon" — the host stamp of perfbench results.
 const char* SimdLevelName(SimdLevel level);
 
 /// Vector register width in bytes for `level`: 0, 32, or 16.

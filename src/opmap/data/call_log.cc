@@ -19,7 +19,11 @@ std::string PhoneLabel(int i) {
   return buf;
 }
 
-std::string ValueLabel(int i) { return "v" + std::to_string(i); }
+std::string ValueLabel(int i) {
+  std::string label = "v";
+  label.append(std::to_string(i));
+  return label;
+}
 
 }  // namespace
 

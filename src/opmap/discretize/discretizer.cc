@@ -26,10 +26,16 @@ std::vector<std::string> IntervalLabels(const std::vector<double>& cuts) {
   labels.reserve(cuts.size() + 1);
   labels.push_back("(-inf," + FormatDouble(cuts.front(), 6) + "]");
   for (size_t i = 1; i < cuts.size(); ++i) {
-    labels.push_back("(" + FormatDouble(cuts[i - 1], 6) + "," +
-                     FormatDouble(cuts[i], 6) + "]");
+    std::string label = "(";
+    label.append(FormatDouble(cuts[i - 1], 6))
+        .append(",")
+        .append(FormatDouble(cuts[i], 6))
+        .append("]");
+    labels.push_back(std::move(label));
   }
-  labels.push_back("(" + FormatDouble(cuts.back(), 6) + ",+inf)");
+  std::string last = "(";
+  last.append(FormatDouble(cuts.back(), 6)).append(",+inf)");
+  labels.push_back(std::move(last));
   return labels;
 }
 

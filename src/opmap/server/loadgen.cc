@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <thread>
 #include <utility>
 
-#include "opmap/common/bench_json.h"
 #include "opmap/common/trace.h"
-#include "opmap/core/session.h"
-#include "opmap/cube/cube_store.h"
 #include "opmap/server/client.h"
 
 namespace opmap::server {
@@ -31,13 +27,6 @@ struct Rng {
     return state * 0x2545f4914f6cdd1dull;
   }
   size_t Below(size_t n) { return n == 0 ? 0 : Next() % n; }
-  // Uniform in [0, 1) with 53 significant bits.
-  double NextDouble() {
-    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-  }
-  // Exponential with mean 1 (the inter-arrival shape of a Poisson
-  // process); scaled by the caller to 1/rate.
-  double NextExp() { return -std::log(1.0 - NextDouble()); }
 };
 
 struct MixEntry {
@@ -133,15 +122,12 @@ struct ThreadResult {
   int64_t ok = 0;
   int64_t error = 0;
   int64_t shed = 0;
-  int64_t measured_ok = 0;    // OK responses issued after the warm-up window
-  int64_t measured_shed = 0;  // sheds issued after the warm-up window
   Status status;
 };
 
 void RunClientThread(const LoadgenOptions& options, const Workload& work,
                      const std::vector<std::string>& schedule,
                      int thread_index,
-                     std::chrono::steady_clock::time_point run_start,
                      std::chrono::steady_clock::time_point deadline,
                      std::atomic<int64_t>* issued, ThreadResult* out) {
   auto client_or = Client::Connect(options.connect, options.timeout_ms);
@@ -154,36 +140,12 @@ void RunClientThread(const LoadgenOptions& options, const Workload& work,
   size_t slot = static_cast<size_t>(thread_index) % schedule.size();
   bool view_open = false;
 
-  // Open-loop mode: this thread is one of `clients` independent Poisson
-  // processes at rate/clients each — their superposition offers
-  // arrival_qps. Arrival times are scheduled up front from the
-  // deterministic generator; when the daemon (or this blocking client)
-  // falls behind, requests queue here and the delay is charged to the
-  // response via the scheduled-start latency below.
-  const bool open_loop = options.arrival_qps > 0;
-  const double thread_rate =
-      open_loop ? options.arrival_qps / options.clients : 0.0;
-  int64_t next_arrival_us = 0;  // relative to run_start
-  const auto warmup_end =
-      run_start + std::chrono::milliseconds(options.warmup_ms);
-
-  for (;;) {
-    auto scheduled = std::chrono::steady_clock::now();
-    if (open_loop) {
-      next_arrival_us +=
-          static_cast<int64_t>(rng.NextExp() * 1e6 / thread_rate);
-      scheduled = run_start + std::chrono::microseconds(next_arrival_us);
-      if (scheduled >= deadline) break;
-      std::this_thread::sleep_until(scheduled);
-    } else if (scheduled >= deadline) {
-      break;
-    }
+  while (std::chrono::steady_clock::now() < deadline) {
     if (options.max_requests > 0 &&
         issued->fetch_add(1, std::memory_order_relaxed) >=
             options.max_requests) {
       break;
     }
-    const bool measured = scheduled >= warmup_end;
     const std::string& op = schedule[slot];
     slot = (slot + 1) % schedule.size();
 
@@ -200,10 +162,7 @@ void RunClientThread(const LoadgenOptions& options, const Workload& work,
       }
       if (open_reply->status == RespStatus::kRetryLater) {
         out->shed++;
-        if (measured) out->measured_shed++;
-        if (!open_loop) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
         continue;
       }
       if (!open_reply->ok()) {
@@ -211,13 +170,10 @@ void RunClientThread(const LoadgenOptions& options, const Workload& work,
         continue;
       }
       out->ok++;
-      if (measured) out->measured_ok++;
       view_open = true;
     }
 
-    // Closed loop times the call itself; open loop times from the
-    // scheduled arrival so client-side queueing is not omitted.
-    const auto start = open_loop ? scheduled : std::chrono::steady_clock::now();
+    const auto start = std::chrono::steady_clock::now();
     Result<Reply> reply = Status::Internal("no op issued");
     if (op == "ping") {
       reply = client->Ping();
@@ -249,12 +205,7 @@ void RunClientThread(const LoadgenOptions& options, const Workload& work,
     const Reply& r = *reply;
     if (r.status == RespStatus::kRetryLater) {
       out->shed++;
-      if (measured) out->measured_shed++;
-      // Closed loop backs off; open loop keeps its schedule — backing off
-      // would silently lower the offered load the sweep claims to apply.
-      if (!open_loop) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
       continue;
     }
     if (r.status == RespStatus::kShuttingDown) break;
@@ -264,59 +215,11 @@ void RunClientThread(const LoadgenOptions& options, const Workload& work,
       continue;
     }
     out->ok++;
-    if (measured) {
-      out->measured_ok++;
-      out->lat[op].push_back(elapsed_us);
-    }
+    out->lat[op].push_back(elapsed_us);
   }
 }
 
-// In-process baseline: the daemon's per-request CPU work (cached compare
-// plus result encoding) without any socket. The wire-overhead guard in
-// check_bench.py compares the served compare p50 against this number.
-Result<double> MeasureLocalCompareP50(const LoadgenOptions& options,
-                                      const Workload& work) {
-  CubeLoadOptions load;
-  load.use_mmap = options.use_mmap;
-  OPMAP_ASSIGN_OR_RETURN(
-      CubeStore store,
-      CubeStore::LoadFromFile(options.cubes_path, nullptr, load));
-  QueryEngine engine(&store);
-  auto run_one = [&](const CompareRequest& req) -> Status {
-    ComparisonSpec spec;
-    spec.attribute = req.attribute;
-    spec.value_a = req.value_a;
-    spec.value_b = req.value_b;
-    spec.target_class = req.target_class;
-    spec.min_population = req.min_population;
-    auto result = engine.Compare(spec);
-    OPMAP_RETURN_NOT_OK(result.status());
-    const std::string encoded = EncodeComparisonResult(**result);
-    if (encoded.empty()) {
-      return Status::Internal("empty encoded comparison");
-    }
-    return Status::OK();
-  };
-  // Warm the cache first — the daemon-side measurement is warm too.
-  for (const CompareRequest& req : work.compares) {
-    OPMAP_RETURN_NOT_OK(run_one(req));
-  }
-  std::vector<int64_t> lat;
-  lat.reserve(static_cast<size_t>(options.local_iters));
-  Rng rng(options.seed);
-  for (int i = 0; i < options.local_iters; ++i) {
-    const CompareRequest& req =
-        work.compares[rng.Below(work.compares.size())];
-    const int64_t start_us = MonotonicMicros();
-    OPMAP_RETURN_NOT_OK(run_one(req));
-    lat.push_back(MonotonicMicros() - start_us);
-  }
-  std::sort(lat.begin(), lat.end());
-  return static_cast<double>(PercentileUs(lat, 0.50));
-}
-
-}  // namespace
-
+// Nearest-rank percentile of an ascending-sorted sample; q in [0,1].
 int64_t PercentileUs(const std::vector<int64_t>& sorted_us, double q) {
   if (sorted_us.empty()) return 0;
   if (q <= 0) return sorted_us.front();
@@ -326,6 +229,8 @@ int64_t PercentileUs(const std::vector<int64_t>& sorted_us, double q) {
       q * static_cast<double>(sorted_us.size()) + 0.999999);
   return sorted_us[std::min(rank, sorted_us.size()) - 1];
 }
+
+}  // namespace
 
 Result<LoadgenReport> RunLoadgen(const LoadgenOptions& options) {
   if (options.clients < 1) {
@@ -352,18 +257,17 @@ Result<LoadgenReport> RunLoadgen(const LoadgenOptions& options) {
 
   std::vector<ThreadResult> results(static_cast<size_t>(options.clients));
   std::atomic<int64_t> issued{0};
-  const auto run_start = std::chrono::steady_clock::now();
   const auto deadline =
-      run_start + std::chrono::microseconds(
-                      static_cast<int64_t>(options.duration_s * 1e6));
+      std::chrono::steady_clock::now() +
+      std::chrono::microseconds(static_cast<int64_t>(options.duration_s * 1e6));
   const int64_t run_start_us = MonotonicMicros();
   {
     std::vector<std::thread> threads;
     threads.reserve(static_cast<size_t>(options.clients));
     for (int i = 0; i < options.clients; ++i) {
       threads.emplace_back(RunClientThread, std::cref(options),
-                           std::cref(work), std::cref(schedule), i, run_start,
-                           deadline, &issued, &results[static_cast<size_t>(i)]);
+                           std::cref(work), std::cref(schedule), i, deadline,
+                           &issued, &results[static_cast<size_t>(i)]);
     }
     for (std::thread& t : threads) t.join();
   }
@@ -372,14 +276,11 @@ Result<LoadgenReport> RunLoadgen(const LoadgenOptions& options) {
 
   LoadgenReport report;
   report.wall_s = wall_s;
-  report.offered_qps = options.arrival_qps;
   for (ThreadResult& r : results) {
     OPMAP_RETURN_NOT_OK(r.status);
     report.total_ok += r.ok;
     report.total_error += r.error;
     report.retry_later += r.shed;
-    report.measured_ok += r.measured_ok;
-    report.measured_shed += r.measured_shed;
     for (auto& [op, lat] : r.lat) {
       auto& merged = report.latencies_us[op];
       merged.insert(merged.end(), lat.begin(), lat.end());
@@ -390,24 +291,6 @@ Result<LoadgenReport> RunLoadgen(const LoadgenOptions& options) {
   }
   report.qps = wall_s > 0 ? static_cast<double>(report.total_ok) / wall_s
                           : 0.0;
-  report.measured_window_s =
-      std::max(0.0, wall_s - static_cast<double>(options.warmup_ms) / 1e3);
-  report.achieved_qps =
-      report.measured_window_s > 0
-          ? static_cast<double>(report.measured_ok) / report.measured_window_s
-          : 0.0;
-
-  // Fetch the daemon's own stats after the run (embedded in the bench
-  // record so check_bench.py can cross-check the measurement).
-  if (auto stats_reply = probe->Stats();
-      stats_reply.ok() && stats_reply->ok()) {
-    report.server_stats_json = stats_reply->body;
-  }
-
-  if (!options.cubes_path.empty()) {
-    OPMAP_ASSIGN_OR_RETURN(report.local_compare_p50_us,
-                           MeasureLocalCompareP50(options, work));
-  }
   return report;
 }
 
@@ -423,21 +306,6 @@ std::string FormatLoadgenReport(const LoadgenOptions& options,
                 static_cast<long long>(report.retry_later), report.wall_s,
                 options.clients, report.qps);
   out += line;
-  if (report.offered_qps > 0) {
-    std::snprintf(line, sizeof(line),
-                  "open-loop: offered %.1f qps, achieved %.1f qps over "
-                  "%.2fs measured window (%d ms warm-up excluded)\n",
-                  report.offered_qps, report.achieved_qps,
-                  report.measured_window_s, options.warmup_ms);
-    out += line;
-  } else if (options.warmup_ms > 0) {
-    std::snprintf(line, sizeof(line),
-                  "warm-up: first %d ms excluded from percentiles "
-                  "(%lld measured ok)\n",
-                  options.warmup_ms,
-                  static_cast<long long>(report.measured_ok));
-    out += line;
-  }
   std::snprintf(line, sizeof(line), "%-10s %8s %10s %10s %10s\n", "op", "n",
                 "p50_us", "p99_us", "p999_us");
   out += line;
@@ -449,132 +317,7 @@ std::string FormatLoadgenReport(const LoadgenOptions& options,
                   static_cast<long long>(PercentileUs(lat, 0.999)));
     out += line;
   }
-  if (report.local_compare_p50_us >= 0) {
-    std::snprintf(line, sizeof(line),
-                  "local compare baseline p50: %.0f us (wire overhead: "
-                  "%.2fx)\n",
-                  report.local_compare_p50_us,
-                  report.local_compare_p50_us > 0 &&
-                          report.latencies_us.count("compare") != 0
-                      ? static_cast<double>(PercentileUs(
-                            report.latencies_us.at("compare"), 0.50)) /
-                            report.local_compare_p50_us
-                      : 0.0);
-    out += line;
-  }
   return out;
-}
-
-Status WriteLoadgenBench(const std::string& path,
-                         const LoadgenOptions& options,
-                         const LoadgenReport& report) {
-  bench::BenchRecord qps;
-  qps.op = "server/qps";
-  qps.threads = options.clients;
-  qps.wall_ms = report.wall_s * 1e3;
-  qps.items_per_s = report.qps;
-  qps.stats_json = report.server_stats_json;  // the daemon's, not ours
-  OPMAP_RETURN_NOT_OK(bench::AppendBenchRecord(path, qps));
-
-  for (const auto& [op, lat] : report.latencies_us) {
-    if (lat.empty()) continue;
-    const struct {
-      const char* suffix;
-      double q;
-    } kQuantiles[] = {{"_p50", 0.50}, {"_p99", 0.99}, {"_p999", 0.999}};
-    for (const auto& quantile : kQuantiles) {
-      bench::BenchRecord rec;
-      rec.op = "server/" + op + quantile.suffix;
-      rec.threads = options.clients;
-      rec.wall_ms =
-          static_cast<double>(PercentileUs(lat, quantile.q)) / 1e3;
-      rec.items_per_s =
-          report.wall_s > 0
-              ? static_cast<double>(lat.size()) / report.wall_s
-              : 0.0;
-      OPMAP_RETURN_NOT_OK(bench::AppendBenchRecord(path, rec));
-    }
-  }
-
-  if (report.local_compare_p50_us >= 0) {
-    bench::BenchRecord local;
-    local.op = "server/local_compare_p50";
-    local.threads = 1;
-    local.wall_ms = report.local_compare_p50_us / 1e3;
-    local.items_per_s = report.local_compare_p50_us > 0
-                            ? 1e6 / report.local_compare_p50_us
-                            : 0.0;
-    OPMAP_RETURN_NOT_OK(bench::AppendBenchRecord(path, local));
-  }
-
-  bench::BenchRecord shed;
-  shed.op = "server/retry_later";
-  shed.threads = options.clients;
-  shed.wall_ms = report.wall_s * 1e3;
-  shed.items_per_s =
-      report.wall_s > 0
-          ? static_cast<double>(report.retry_later) / report.wall_s
-          : 0.0;
-  return bench::AppendBenchRecord(path, shed);
-}
-
-Status WriteSweepBench(const std::string& path,
-                       const LoadgenOptions& options,
-                       const LoadgenReport& report) {
-  if (options.arrival_qps <= 0) {
-    return Status::InvalidArgument(
-        "WriteSweepBench needs an open-loop run (arrival_qps > 0)");
-  }
-  // Whole rates label as integers ("200"), fractional ones as %g, so
-  // record names are stable and greppable.
-  char rate_label[32];
-  if (options.arrival_qps == std::floor(options.arrival_qps)) {
-    std::snprintf(rate_label, sizeof(rate_label), "%lld",
-                  static_cast<long long>(options.arrival_qps));
-  } else {
-    std::snprintf(rate_label, sizeof(rate_label), "%g", options.arrival_qps);
-  }
-  const std::string prefix = std::string("server/sweep/") + rate_label;
-
-  // The sweep tracks end-to-end tail latency of the whole mix, not per-op
-  // splits: merge every measured sample.
-  std::vector<int64_t> all;
-  for (const auto& [op, lat] : report.latencies_us) {
-    all.insert(all.end(), lat.begin(), lat.end());
-  }
-  std::sort(all.begin(), all.end());
-
-  const struct {
-    const char* suffix;
-    double q;
-  } kQuantiles[] = {{"_p50", 0.50}, {"_p99", 0.99}, {"_p999", 0.999}};
-  for (const auto& quantile : kQuantiles) {
-    bench::BenchRecord rec;
-    rec.op = prefix + quantile.suffix;
-    rec.threads = options.clients;
-    rec.wall_ms = static_cast<double>(PercentileUs(all, quantile.q)) / 1e3;
-    rec.items_per_s = report.achieved_qps;
-    OPMAP_RETURN_NOT_OK(bench::AppendBenchRecord(path, rec));
-  }
-
-  bench::BenchRecord achieved;
-  achieved.op = prefix + "_achieved_qps";
-  achieved.threads = options.clients;
-  achieved.wall_ms = report.measured_window_s * 1e3;
-  achieved.items_per_s = report.achieved_qps;
-  achieved.stats_json = report.server_stats_json;
-  OPMAP_RETURN_NOT_OK(bench::AppendBenchRecord(path, achieved));
-
-  bench::BenchRecord shed;
-  shed.op = prefix + "_retry_later";
-  shed.threads = options.clients;
-  shed.wall_ms = report.measured_window_s * 1e3;
-  shed.items_per_s =
-      report.measured_window_s > 0
-          ? static_cast<double>(report.measured_shed) /
-                report.measured_window_s
-          : 0.0;
-  return bench::AppendBenchRecord(path, shed);
 }
 
 }  // namespace opmap::server

@@ -10,7 +10,8 @@
 
 namespace opmap::server {
 
-/// Configuration of one `opmap loadgen` run.
+/// Configuration of one `opmap loadgen` run: a closed loop, where each
+/// client issues its next request when the previous response arrives.
 struct LoadgenOptions {
   /// Daemon address in listen-option syntax ("unix:<path>", "host:port").
   std::string connect;
@@ -26,29 +27,8 @@ struct LoadgenOptions {
   std::string mix = "compare:8,pairs:1,gi:1,render:2";
   /// Seed for the deterministic per-thread schedules.
   uint64_t seed = 42;
-  /// Open-loop mode: offered load in requests/second across all clients,
-  /// issued at Poisson arrival times drawn from the deterministic
-  /// generator (each thread runs an independent process at rate/clients;
-  /// their superposition is Poisson at the full rate). Latency is
-  /// measured from the *scheduled* arrival, so client-side queueing that
-  /// builds when the daemon falls behind is charged to the response —
-  /// the correction for coordinated omission. 0 = closed loop (each
-  /// client issues its next request when the previous response arrives).
-  double arrival_qps = 0.0;
-  /// Samples scheduled (open loop) or started (closed loop) within this
-  /// window after the run starts are excluded from recorded latencies and
-  /// from achieved-QPS accounting: cold mmap faults and pool spin-up
-  /// otherwise pollute p999.
-  int warmup_ms = 500;
   /// Per-call socket timeout.
   int timeout_ms = 30000;
-  /// Cube file for the in-process baseline (compare + encode on this
-  /// process's CPU, no socket): the denominator of the wire-overhead
-  /// ratio in docs/SERVING.md. Empty skips the baseline.
-  std::string cubes_path;
-  bool use_mmap = true;
-  /// Iterations of the in-process baseline measurement.
-  int local_iters = 200;
   bool verbose = false;
 };
 
@@ -59,23 +39,8 @@ struct LoadgenReport {
   int64_t retry_later = 0;
   double wall_s = 0.0;
   double qps = 0.0;  ///< OK responses per second across all clients
-  /// The offered load of an open-loop run (LoadgenOptions.arrival_qps).
-  double offered_qps = 0.0;
-  /// OK responses per second within the post-warm-up measurement window —
-  /// the throughput the daemon sustained at the offered load.
-  double achieved_qps = 0.0;
-  int64_t measured_ok = 0;    ///< OK responses inside the window
-  int64_t measured_shed = 0;  ///< RETRY_LATER responses inside the window
-  double measured_window_s = 0.0;
   std::map<std::string, std::vector<int64_t>> latencies_us;
-  /// In-process warm compare p50 (us); < 0 when not measured.
-  double local_compare_p50_us = -1.0;
-  /// The daemon's own metrics snapshot (kStats), fetched after the run.
-  std::string server_stats_json;
 };
-
-/// Nearest-rank percentile of an ascending-sorted sample; q in [0,1].
-int64_t PercentileUs(const std::vector<int64_t>& sorted_us, double q);
 
 /// Runs the load against a live daemon. Fails fast if the first
 /// connection or the schema probe fails; per-request errors are counted,
@@ -85,28 +50,6 @@ Result<LoadgenReport> RunLoadgen(const LoadgenOptions& options);
 /// Human-readable per-op table (QPS, p50/p99/p999) for the CLI.
 std::string FormatLoadgenReport(const LoadgenOptions& options,
                                 const LoadgenReport& report);
-
-/// Appends the run to `path` as bench records (docs/SERVING.md):
-///   server/qps                 items_per_s = OK responses per second
-///   server/<op>_p50|_p99|_p999 wall_ms = that percentile, per mixed op
-///   server/local_compare_p50   the in-process baseline (when measured)
-///   server/retry_later         items_per_s = sheds per second
-/// The server/qps record embeds the daemon's stats snapshot.
-Status WriteLoadgenBench(const std::string& path,
-                         const LoadgenOptions& options,
-                         const LoadgenReport& report);
-
-/// Appends one open-loop sweep point to `path` (docs/SERVING.md):
-///   server/sweep/<rate>_p50|_p99|_p999   wall_ms = percentile over all ops
-///   server/sweep/<rate>_achieved_qps    items_per_s = sustained OK rate
-///   server/sweep/<rate>_retry_later     items_per_s = shed rate
-/// where <rate> is the offered load. Percentiles and rates cover only the
-/// post-warm-up window. Sweep points deliberately do NOT write server/qps:
-/// that record is the peak-throughput measurement check_bench.py compares
-/// across --loops configurations.
-Status WriteSweepBench(const std::string& path,
-                       const LoadgenOptions& options,
-                       const LoadgenReport& report);
 
 }  // namespace opmap::server
 

@@ -267,16 +267,20 @@ class EventLoop {
     Wake();
   }
 
-  // Called by pool workers when a request finishes.
+  // Called by pool workers when a request finishes. Wakes under the lock:
+  // once the loop has taken the last completion it may drain and be
+  // destroyed, so the worker must not touch this loop after unlocking.
   void PostCompletion(Completion done) {
-    {
-      std::lock_guard<std::mutex> lock(completions_mu_);
-      completions_.push_back(std::move(done));
-    }
+    std::lock_guard<std::mutex> lock(completions_mu_);
+    completions_.push_back(std::move(done));
     Wake();
   }
 
   void Run();
+
+  // After Run() returned on every loop: answers hand-off fds queued since
+  // this loop's last pass, then closes every connection (none executing).
+  void CloseAfterDrain();
 
   // Emits a response to a connection of this loop by id (reload replies
   // and drain cancellations route through here).
@@ -296,9 +300,9 @@ class EventLoop {
   }
 
  private:
-  void AdoptFd(int fd);
+  Connection* AdoptFd(int fd);
   void AcceptConnections();
-  void DrainHandoff(bool adopt);
+  void DrainHandoff();
   bool PeerAllowed(int fd);
   void ReadConnection(Connection* conn);
   void FlushConnection(Connection* conn);
@@ -510,6 +514,8 @@ Status Server::Serve() {
     loops_[0]->Run();
     for (std::thread& t : threads) t.join();
   }
+  // Only now can no loop hand a connection to one that already stopped.
+  for (auto& loop : loops_) loop->CloseAfterDrain();
   if (options_.verbose) {
     const ServerStats total = stats();
     std::fprintf(stderr,
@@ -666,7 +672,7 @@ void EventLoop::Run() {
         !draining_) {
       BeginDrain();
     }
-    DrainHandoff(/*adopt=*/!draining_);
+    DrainHandoff();
     DrainCompletions();
     {
       bool owns_reload = false;
@@ -758,10 +764,11 @@ void EventLoop::Run() {
       if ((fds[i].revents & (POLLIN | POLLHUP)) != 0) ReadConnection(conn);
     }
   }
+}
 
-  // Drained: hand-off fds never adopted are closed, then every remaining
-  // connection (none executing).
-  DrainHandoff(/*adopt=*/false);
+void EventLoop::CloseAfterDrain() {
+  draining_ = true;  // also after a poll failure: nothing may dispatch now
+  DrainHandoff();
   SweepClosedConnections();
   std::vector<uint64_t> ids;
   ids.reserve(conns_.size());
@@ -769,27 +776,26 @@ void EventLoop::Run() {
   for (uint64_t id : ids) CloseConnection(id, "server drained");
 }
 
-void EventLoop::DrainHandoff(bool adopt) {
+void EventLoop::DrainHandoff() {
   std::vector<int> incoming;
   {
     std::lock_guard<std::mutex> lock(handoff_mu_);
     incoming.swap(handoff_fds_);
   }
   for (int fd : incoming) {
-    if (adopt) {
-      AdoptFd(fd);
-    } else {
-      ::close(fd);
-      server_->total_connections_.fetch_sub(1, std::memory_order_relaxed);
-    }
+    Connection* conn = AdoptFd(fd);
+    // A draining loop polls no connection for input, so read this one
+    // once now: frames its client sent before the hand-off are answered
+    // SHUTTING_DOWN through HandleFrame instead of being dropped unread.
+    if (conn != nullptr && draining_) ReadConnection(conn);
   }
 }
 
-void EventLoop::AdoptFd(int fd) {
+Connection* EventLoop::AdoptFd(int fd) {
   if (!SetNonBlocking(fd, true).ok()) {
     ::close(fd);
     server_->total_connections_.fetch_sub(1, std::memory_order_relaxed);
-    return;
+    return nullptr;
   }
   auto conn = std::make_unique<Connection>();
   conn->id = server_->next_conn_id_.fetch_add(1, std::memory_order_relaxed);
@@ -798,7 +804,9 @@ void EventLoop::AdoptFd(int fd) {
   stats_.connections_accepted++;
   ConnectionsGauge()->Set(static_cast<int64_t>(
       server_->total_connections_.load(std::memory_order_relaxed)));
-  conns_[conn->id] = std::move(conn);
+  Connection* adopted = conn.get();
+  conns_[adopted->id] = std::move(conn);
+  return adopted;
 }
 
 bool EventLoop::PeerAllowed(int fd) {

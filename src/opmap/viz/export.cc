@@ -63,13 +63,14 @@ std::string CubeToCsv(const RuleCube& cube, int class_dim) {
       out += cube.label(d, cell[static_cast<size_t>(d)]);
     }
     const int64_t count = cube.count(cell);
-    out += "," + std::to_string(count);
-    out += "," + FormatDouble(total > 0 ? static_cast<double>(count) /
-                                              static_cast<double>(total)
-                                        : 0.0,
-                              6);
+    out.append(",").append(std::to_string(count));
+    out.append(",").append(
+        FormatDouble(total > 0 ? static_cast<double>(count) /
+                                     static_cast<double>(total)
+                               : 0.0,
+                     6));
     if (class_dim >= 0) {
-      out += "," + FormatDouble(cube.Confidence(cell, class_dim), 6);
+      out.append(",").append(FormatDouble(cube.Confidence(cell, class_dim), 6));
     }
     out += "\n";
   });
@@ -83,7 +84,7 @@ std::string CubeToJson(const RuleCube& cube) {
     out += "{\"name\":\"" + JsonEscape(cube.dim_name(d)) + "\",\"values\":[";
     for (ValueCode v = 0; v < cube.dim_size(d); ++v) {
       if (v > 0) out += ",";
-      out += "\"" + JsonEscape(cube.label(d, v)) + "\"";
+      out.append("\"").append(JsonEscape(cube.label(d, v))).append("\"");
     }
     out += "]}";
   }

@@ -80,7 +80,7 @@ void AppendAttributeSection(const AttributeComparison& cmp,
                             std::string* out) {
   const Attribute& attr = schema.attribute(cmp.attribute);
   *out += "<section><h3>";
-  if (rank >= 0) *out += "#" + std::to_string(rank + 1) + " ";
+  if (rank >= 0) out->append("#").append(std::to_string(rank + 1)).append(" ");
   *out += HtmlEscape(attr.name()) + " &mdash; M = " +
           FormatDouble(cmp.interestingness, 2) + " (normalized " +
           FormatDouble(cmp.normalized, 4) + ")";

@@ -878,9 +878,8 @@ int CmdServe(const Args& args) {
 int CmdLoadgen(const Args& args) {
   args.RejectUnknown("loadgen",
                      {"connect", "clients", "duration", "requests", "mix",
-                      "seed", "arrival-qps", "sweep", "warmup-ms", "json",
-                      "cubes", "mmap", "timeout-ms", "verbose", "stats",
-                      "stats-full", "trace-out"});
+                      "seed", "timeout-ms", "verbose", "stats", "stats-full",
+                      "trace-out"});
   server::LoadgenOptions options;
   options.connect = args.GetString("connect");
   RequireFlag(options.connect, "connect");
@@ -889,71 +888,10 @@ int CmdLoadgen(const Args& args) {
   options.max_requests = args.GetInt("requests", 0);
   options.mix = args.GetString("mix", "compare:8,pairs:1,gi:1,render:2");
   options.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-  options.arrival_qps = args.GetDouble("arrival-qps", 0.0);
-  options.warmup_ms = static_cast<int>(args.GetInt("warmup-ms", 500));
-  options.cubes_path = args.GetString("cubes");
-  options.use_mmap = LoadOptionsOf(args).use_mmap;
   options.timeout_ms = static_cast<int>(args.GetInt("timeout-ms", 30000));
   options.verbose = args.GetBool("verbose");
-  const std::string json = args.GetString("json");
-
-  // --sweep=R1,R2,...: one open-loop run per offered rate, each written
-  // as server/sweep/<rate>_* records (never server/qps — that record is
-  // the peak-throughput comparison across --loops configurations).
-  const std::string sweep = args.GetString("sweep");
-  if (!sweep.empty()) {
-    if (options.arrival_qps > 0) {
-      std::fprintf(stderr,
-                   "opmap: --sweep and --arrival-qps are exclusive "
-                   "(--sweep runs one open-loop pass per rate)\n");
-      std::exit(4);
-    }
-    std::vector<double> rates;
-    for (size_t pos = 0; pos < sweep.size();) {
-      size_t comma = sweep.find(',', pos);
-      if (comma == std::string::npos) comma = sweep.size();
-      const std::string item = sweep.substr(pos, comma - pos);
-      pos = comma + 1;
-      if (item.empty()) continue;
-      char* end = nullptr;
-      const double rate = std::strtod(item.c_str(), &end);
-      if (end == item.c_str() || *end != '\0' || rate <= 0) {
-        std::fprintf(stderr, "opmap: bad value for --sweep: '%s'\n",
-                     item.c_str());
-        std::exit(4);
-      }
-      rates.push_back(rate);
-    }
-    if (rates.empty()) {
-      std::fprintf(stderr, "opmap: --sweep needs at least one rate\n");
-      std::exit(4);
-    }
-    options.cubes_path.clear();  // no per-point in-process baseline
-    for (double rate : rates) {
-      server::LoadgenOptions point = options;
-      point.arrival_qps = rate;
-      const server::LoadgenReport report =
-          OrDie(server::RunLoadgen(point));
-      std::printf("-- sweep %g qps --\n%s", rate,
-                  server::FormatLoadgenReport(point, report).c_str());
-      if (!json.empty()) {
-        const Status st = server::WriteSweepBench(json, point, report);
-        if (!st.ok()) Die(st);
-      }
-    }
-    return 0;
-  }
-
   const server::LoadgenReport report = OrDie(server::RunLoadgen(options));
   std::printf("%s", server::FormatLoadgenReport(options, report).c_str());
-  if (!json.empty()) {
-    // A single open-loop run is a one-point sweep; closed-loop runs keep
-    // writing the server/qps family.
-    const Status st = options.arrival_qps > 0
-                          ? server::WriteSweepBench(json, options, report)
-                          : server::WriteLoadgenBench(json, options, report);
-    if (!st.ok()) Die(st);
-  }
   return 0;
 }
 
@@ -1003,16 +941,10 @@ int Usage() {
       "unix socket to the listed peer uids\n"
       "  loadgen   --connect=ADDR [--clients=N] [--duration=SECONDS] "
       "[--requests=N] [--mix=compare:8,pairs:1,gi:1,render:2] [--seed=N] "
-      "[--arrival-qps=R | --sweep=R1,R2,...] [--warmup-ms=N] "
-      "[--json=BENCH_server.json] [--cubes=FILE.opmc] [--verbose]\n"
+      "[--verbose]\n"
       "            replays a weighted query mix against a live opmapd "
-      "over N connections and reports QPS + p50/p99/p999 per op; "
-      "--arrival-qps switches to open-loop Poisson arrivals at the "
-      "offered rate (latency from scheduled arrival), --sweep runs one "
-      "open-loop pass per rate and appends server/sweep/* records, "
-      "--warmup-ms (default 500) excludes the warm-up window from "
-      "percentiles; --cubes adds the in-process compare baseline for the "
-      "wire-overhead check; --json appends bench records\n"
+      "over N closed-loop connections and reports QPS + p50/p99/p999 "
+      "per op\n"
       "--threads=N caps worker threads (1 = serial; default: OPMAP_THREADS "
       "env var, else hardware); results are identical at any setting\n"
       "--block-rows=N sets the counting-kernel tile size in rows "

@@ -13,6 +13,7 @@
 
 #include "gtest/gtest.h"
 #include "opmap/car/miner.h"
+#include "opmap/common/metrics.h"
 #include "opmap/common/simd.h"
 #include "opmap/cube/count_kernels.h"
 #include "opmap/cube/cube_store.h"
@@ -24,6 +25,7 @@ namespace {
 
 using test::AppendRows;
 using test::MakeSchema;
+using test::NumberedLabel;
 
 ParallelOptions Threads(int n) {
   ParallelOptions options;
@@ -196,9 +198,9 @@ TEST(PackedColumnSet, ProjectedBytesCoversTheBuiltSet) {
 
 TEST(BlockedKernelSupportedTest, RejectsFusedIndexOverflow) {
   std::vector<std::string> big;
-  for (int i = 0; i < 65536; ++i) big.push_back("v" + std::to_string(i));
+  for (int i = 0; i < 65536; ++i) big.push_back(NumberedLabel("v", i));
   std::vector<std::string> classes;
-  for (int i = 0; i < 40000; ++i) classes.push_back("y" + std::to_string(i));
+  for (int i = 0; i < 40000; ++i) classes.push_back(NumberedLabel("y", i));
   // 65536 * 40000 overflows int32: the fused-index kernels must refuse
   // and callers fall back to the reference loop.
   const Schema schema = MakeSchema({{"Big", big}, {"Y", classes}});
@@ -312,7 +314,7 @@ TEST(KernelEquality, CubeBuildMatchesReferenceOnSingletonDomain) {
 Dataset WideDomainDataset(int domain, int64_t rows) {
   std::vector<std::string> labels;
   labels.reserve(static_cast<size_t>(domain));
-  for (int i = 0; i < domain; ++i) labels.push_back("v" + std::to_string(i));
+  for (int i = 0; i < domain; ++i) labels.push_back(NumberedLabel("v", i));
   Dataset d(MakeSchema(
       {{"Wide", labels}, {"B", {"b0", "b1"}}, {"Y", {"y0", "y1"}}}));
   uint64_t x = 0x2545F4914F6CDD1DULL;
@@ -368,6 +370,36 @@ TEST(KernelEquality, TightMemoryBudgetFallsBackWithoutChangingResults) {
   ASSERT_OK_AND_ASSIGN(CubeStore clamped,
                        CubeBuilder::FromDataset(data, tight));
   EXPECT_EQ(SerializeStore(clamped), SerializeStore(reference));
+}
+
+int64_t CounterValue(const char* name) {
+  return MetricsRegistry::Global()->counter(name)->Value();
+}
+
+TEST(KernelSelection, PinnedBuildsRunTheKernelTheyAskFor) {
+  // A silent fallback would give the right counts from the wrong kernel,
+  // which the equality tests above cannot see; the metrics can.
+  const Dataset data = PseudoRandomDataset(6000);
+  const int64_t blocked_before = CounterValue("cube.kernel_blocked");
+  const int64_t reference_before = CounterValue("cube.kernel_reference");
+  const int64_t fallbacks_before = CounterValue("cube.budget_fallbacks");
+  CubeStoreOptions blocked;
+  blocked.kernel = CountKernel::kBlocked;
+  ASSERT_OK(CubeBuilder::FromDataset(data, blocked).status());
+  EXPECT_GT(CounterValue("cube.kernel_blocked"), blocked_before);
+  EXPECT_EQ(CounterValue("cube.kernel_reference"), reference_before);
+  EXPECT_EQ(CounterValue("cube.budget_fallbacks"), fallbacks_before);
+
+  if (CurrentSimdLevel() == SimdLevel::kNone) {
+    GTEST_SKIP() << "no vector unit: kSimd runs the blocked fallback";
+  }
+  const int64_t selected_before = CounterValue("kernel.simd_selected");
+  const int64_t simd_before = CounterValue("cube.kernel_simd");
+  CubeStoreOptions simd;
+  simd.kernel = CountKernel::kSimd;
+  ASSERT_OK(CubeBuilder::FromDataset(data, simd).status());
+  EXPECT_GT(CounterValue("kernel.simd_selected"), selected_before);
+  EXPECT_GT(CounterValue("cube.kernel_simd"), simd_before);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@
 // sweep, CAR mining) is bit-identical to the serial path for any thread
 // count.
 
-#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <stdexcept>
@@ -180,18 +179,25 @@ TEST(ParallelForShards, PartitionsTheRangeExactly) {
 
 TEST(ParallelForShards, BoundariesDependOnlyOnShardCount) {
   // The shard split is a pure function of (range, shard count); recompute
-  // twice and expect identical boundaries.
+  // twice and expect identical boundaries. Each shard writes only its own
+  // slot, so pool threads never share a write target.
+  std::vector<std::vector<std::pair<int64_t, int64_t>>> runs;
   for (int run = 0; run < 2; ++run) {
-    std::vector<int64_t> bounds;
+    std::vector<std::pair<int64_t, int64_t>> bounds(7, {-1, -1});
     ParallelForShards(0, 1000, 7, [&](int shard, int64_t lo, int64_t hi) {
-      (void)shard;
-      (void)hi;
-      bounds.push_back(lo);
+      bounds[static_cast<size_t>(shard)] = {lo, hi};
     });
-    std::sort(bounds.begin(), bounds.end());
-    EXPECT_EQ(bounds.front(), 0);
-    EXPECT_EQ(bounds.size(), 7u);
+    runs.push_back(std::move(bounds));
   }
+  EXPECT_EQ(runs[0], runs[1]);
+  // The 7 shards tile [0, 1000) in order, with no gap or overlap.
+  int64_t expected_lo = 0;
+  for (const auto& [lo, hi] : runs[0]) {
+    EXPECT_EQ(lo, expected_lo);
+    EXPECT_LE(lo, hi);
+    expected_lo = hi;
+  }
+  EXPECT_EQ(expected_lo, 1000);
 }
 
 // ---------------------------------------------------------------------------

@@ -35,9 +35,9 @@ Dataset RandomDataset(uint64_t seed, int num_attrs, int domain,
   for (int a = 0; a < num_attrs; ++a) {
     std::vector<std::string> labels;
     for (int v = 0; v < domain; ++v) {
-      labels.push_back("v" + std::to_string(v));
+      labels.push_back(test::NumberedLabel("v", v));
     }
-    spec.emplace_back("A" + std::to_string(a), labels);
+    spec.emplace_back(test::NumberedLabel("A", a), labels);
   }
   spec.emplace_back("Class", std::vector<std::string>{"c0", "c1", "c2"});
   Schema schema = MakeSchema(spec);

@@ -45,6 +45,15 @@ inline Schema MakeSchema(
   return result.MoveValue();
 }
 
+/// `prefix` followed by the decimal `i` ("v" + 7 -> "v7"). Built by
+/// append: GCC 12 at -O3 raises a false -Wrestrict on
+/// `"v" + std::to_string(i)`.
+inline std::string NumberedLabel(const char* prefix, int i) {
+  std::string label = prefix;
+  label.append(std::to_string(i));
+  return label;
+}
+
 /// Appends `count` identical rows of categorical codes.
 inline void AppendRows(Dataset* dataset, const std::vector<ValueCode>& codes,
                        int64_t count) {
