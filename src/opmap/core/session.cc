@@ -133,13 +133,6 @@ void QueryEngine::SetStore(const CubeStore* store) {
   cache_.BumpEpoch();
 }
 
-void QueryEngine::SetParallel(ParallelOptions parallel) {
-  parallel_ = parallel;
-  comparator_ = Comparator(store_, parallel_);
-  comparator_.set_cache(&cache_);
-  cache_.BumpEpoch();
-}
-
 Result<std::shared_ptr<const ComparisonResult>> QueryEngine::Compare(
     const ComparisonSpec& spec) const {
   return comparator_.CompareCached(spec);

@@ -103,8 +103,7 @@ class QueryCache : public ComparisonCache {
 /// The serving facade: one loaded store, a comparator wired to a shared
 /// QueryCache, and cached GI mining — the object an interactive frontend
 /// holds per cube file. Query methods are safe to call concurrently with
-/// each other; SetStore/SetParallel are not (reconfigure from one thread,
-/// like swapping the store itself).
+/// each other; SetStore is not (swap the store from one thread).
 class QueryEngine {
  public:
   /// `store` must outlive the engine (and every result handed out while
@@ -115,11 +114,6 @@ class QueryEngine {
 
   /// Replaces the served store and invalidates every cached result.
   void SetStore(const CubeStore* store);
-
-  /// Replaces the default threading. Results are bit-identical at any
-  /// thread count, but the epoch is bumped anyway so the invalidation
-  /// rule stays simple: any reconfiguration drops the cache.
-  void SetParallel(ParallelOptions parallel);
 
   /// Cached comparison (see Comparator::CompareCached).
   Result<std::shared_ptr<const ComparisonResult>> Compare(
@@ -136,7 +130,9 @@ class QueryEngine {
 
   const CubeStore* store() const { return store_; }
   const Comparator& comparator() const { return comparator_; }
-  QueryCache* cache() { return &cache_; }
+  /// The engine's cache, for attaching ExplorationSessions (safe to use
+  /// from a const engine: the cache is internally synchronized).
+  QueryCache* cache() const { return &cache_; }
   QueryCacheStats GetCacheStats() const { return cache_.GetStats(); }
 
  private:

@@ -101,7 +101,8 @@ CubeStore& CubeStore::operator=(CubeStore&&) noexcept = default;
 // attribute list, pair flag, record count, class counts and cube counts.
 // v1 lays these fields out back to back after the schema; v2/v3 split them
 // into the "meta" and cube sections but keep the field encoding.
-Status CubeStore::ReadMeta(BinaryReader* r, Schema schema, CubeStore* out) {
+Status CubeStore::ReadMeta(BinaryReader* r, Schema schema, CubeStore* out,
+                           bool build_cubes) {
   OPMAP_ASSIGN_OR_RETURN(uint64_t attr_count, r->ReadU64());
   CubeStoreOptions options;
   for (uint64_t i = 0; i < attr_count; ++i) {
@@ -111,10 +112,14 @@ Status CubeStore::ReadMeta(BinaryReader* r, Schema schema, CubeStore* out) {
   OPMAP_ASSIGN_OR_RETURN(uint8_t has_pairs, r->ReadU8());
   options.build_pair_cubes = has_pairs != 0;
 
-  // Allocate the zeroed store with the same layout, then fill counts.
-  OPMAP_ASSIGN_OR_RETURN(CubeBuilder builder,
-                         CubeBuilder::Make(std::move(schema), options));
-  *out = std::move(builder).Finish();
+  if (build_cubes) {
+    // Allocate the zeroed store with the same layout, then fill counts.
+    OPMAP_ASSIGN_OR_RETURN(CubeBuilder builder,
+                           CubeBuilder::Make(std::move(schema), options));
+    *out = std::move(builder).Finish();
+  } else {
+    OPMAP_RETURN_NOT_OK(out->InitLayout(std::move(schema), options));
+  }
 
   OPMAP_ASSIGN_OR_RETURN(out->num_records_, r->ReadI64());
   if (out->num_records_ < 0) return Status::IOError("negative record count");
@@ -193,13 +198,14 @@ Result<CubeStore> CubeStore::LoadV1(BinaryReader* r, std::istream* in) {
 }
 
 // Parses the schema, meta and cube_index sections of a v3 container into a
-// zeroed store plus one index entry per cube. The caller must have
-// CRC-verified those three sections already; cube_data payload bytes are
-// not touched. Validates every index entry against the store's shape and
-// the cube_data range.
+// store plus one index entry per cube: zeroed owned cubes, or with `views`
+// views of the count arrays in `data`, built once each with no cell
+// allocated. The caller must have CRC-verified those three sections
+// already; cube_data payload bytes are not touched. Validates every index
+// entry against the store's shape and the cube_data range.
 Status CubeStore::ParseV3Skeleton(const char* data,
                                   const std::vector<AlignedSection>& sections,
-                                  CubeStore* store,
+                                  bool views, CubeStore* store,
                                   std::vector<V3CubeEntry>* entries) {
   OPMAP_ASSIGN_OR_RETURN(const AlignedSection* schema_sec,
                          FindAlignedSection(sections, kSectionSchema));
@@ -215,13 +221,29 @@ Status CubeStore::ParseV3Skeleton(const char* data,
   BinaryReader meta_reader(&meta_in, meta_payload.size());
   OPMAP_RETURN_NOT_OK(InSection(
       kSectionMeta,
-      ReadMeta(&meta_reader, std::move(schema).MoveValue(), store)));
+      ReadMeta(&meta_reader, std::move(schema).MoveValue(), store,
+               /*build_cubes=*/!views)));
 
   OPMAP_ASSIGN_OR_RETURN(const AlignedSection* index_sec,
                          FindAlignedSection(sections, kSectionCubeIndex));
   OPMAP_ASSIGN_OR_RETURN(const AlignedSection* data_sec,
                          FindAlignedSection(sections, kSectionCubeData));
-  const int64_t num_cubes = store->NumCubes();
+  // The cubes in store order: one (attribute, class) cube per attribute,
+  // then the (a, b, class) cubes of the upper triangle.
+  const int64_t num_attr = static_cast<int64_t>(store->attributes_.size());
+  const int class_index = store->schema_.class_index();
+  std::vector<std::vector<int>> dims;
+  dims.reserve(static_cast<size_t>(num_attr));
+  for (int a : store->attributes_) dims.push_back({a, class_index});
+  if (store->has_pair_cubes_) {
+    for (size_t i = 0; i < store->attributes_.size(); ++i) {
+      for (size_t j = i + 1; j < store->attributes_.size(); ++j) {
+        dims.push_back(
+            {store->attributes_[i], store->attributes_[j], class_index});
+      }
+    }
+  }
+  const auto num_cubes = static_cast<int64_t>(dims.size());
   if (index_sec->record_count != static_cast<uint64_t>(num_cubes)) {
     return Status::IOError("section 'cube_index' holds " +
                            std::to_string(index_sec->record_count) +
@@ -234,12 +256,17 @@ Status CubeStore::ParseV3Skeleton(const char* data,
 
   entries->clear();
   entries->reserve(static_cast<size_t>(num_cubes));
-  const int64_t num_attr = static_cast<int64_t>(store->attr_cubes_.size());
+  if (views) {
+    store->attr_cubes_.reserve(static_cast<size_t>(num_attr));
+    store->pair_cubes_.reserve(static_cast<size_t>(num_cubes - num_attr));
+  }
   for (int64_t i = 0; i < num_cubes; ++i) {
-    const RuleCube& cube =
-        i < num_attr
-            ? store->attr_cubes_[static_cast<size_t>(i)]
-            : store->pair_cubes_[static_cast<size_t>(i - num_attr)];
+    std::vector<int>& cube_dims = dims[static_cast<size_t>(i)];
+    uint64_t shape_cells = 1;
+    for (int a : cube_dims) {
+      shape_cells *=
+          static_cast<uint64_t>(store->schema_.attribute(a).domain());
+    }
     V3CubeEntry e;
     uint64_t rel_offset = 0;
     {
@@ -257,7 +284,7 @@ Status CubeStore::ParseV3Skeleton(const char* data,
       if (!r.ok()) return InSection(kSectionCubeIndex, r.status());
       e.crc = r.value();
     }
-    if (e.cells != static_cast<uint64_t>(cube.num_cells())) {
+    if (e.cells != shape_cells) {
       return Status::IOError("cube " + std::to_string(i) +
                              ": cell count mismatch (file does not match "
                              "schema)");
@@ -274,6 +301,16 @@ Status CubeStore::ParseV3Skeleton(const char* data,
     }
     e.abs_offset = data_sec->offset + rel_offset;
     entries->push_back(e);
+    if (views) {
+      OPMAP_ASSIGN_OR_RETURN(
+          RuleCube view,
+          RuleCube::MakeView(
+              store->schema_, std::move(cube_dims),
+              reinterpret_cast<const int64_t*>(data + e.abs_offset),
+              static_cast<int64_t>(e.cells)));
+      (i < num_attr ? store->attr_cubes_ : store->pair_cubes_)
+          .push_back(std::move(view));
+    }
   }
   return Status::OK();
 }
@@ -317,7 +354,8 @@ Result<CubeStore> CubeStore::LoadV3Eager(const std::string& bytes) {
   CubeStore store;
   std::vector<V3CubeEntry> entries;
   OPMAP_RETURN_NOT_OK(
-      ParseV3Skeleton(bytes.data(), sections, &store, &entries));
+      ParseV3Skeleton(bytes.data(), sections, /*views=*/false, &store,
+                      &entries));
   const auto num_attr = static_cast<int64_t>(store.attr_cubes_.size());
   for (size_t i = 0; i < entries.size(); ++i) {
     const V3CubeEntry& e = entries[i];
@@ -361,31 +399,11 @@ Result<CubeStore> CubeStore::LoadV3Mapped(const std::string& path, Env* env) {
     OPMAP_RETURN_NOT_OK(VerifyAlignedPayload(region->data(), *sec));
   }
 
+  // Every cube is a view of the mapping. No payload byte is touched.
   CubeStore store;
   std::vector<V3CubeEntry> entries;
-  OPMAP_RETURN_NOT_OK(
-      ParseV3Skeleton(region->data(), sections, &store, &entries));
-
-  // Point every cube at the mapping: replace the zeroed owned cubes from
-  // ReadMeta with views of the same shape. No payload byte is touched.
-  const auto num_attr = static_cast<int64_t>(store.attr_cubes_.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    RuleCube& cube = static_cast<int64_t>(i) < num_attr
-                         ? store.attr_cubes_[i]
-                         : store.pair_cubes_[i - static_cast<size_t>(num_attr)];
-    std::vector<int> dims;
-    dims.reserve(static_cast<size_t>(cube.num_dims()));
-    for (int d = 0; d < cube.num_dims(); ++d) {
-      dims.push_back(cube.dim_attribute(d));
-    }
-    const auto* counts = reinterpret_cast<const int64_t*>(
-        region->data() + entries[i].abs_offset);
-    OPMAP_ASSIGN_OR_RETURN(
-        RuleCube view,
-        RuleCube::MakeView(store.schema_, std::move(dims), counts,
-                           cube.num_cells()));
-    cube = std::move(view);
-  }
+  OPMAP_RETURN_NOT_OK(ParseV3Skeleton(region->data(), sections,
+                                      /*views=*/true, &store, &entries));
 
   auto mapped = std::make_unique<Mapped>();
   mapped->num_entries = static_cast<int64_t>(entries.size());

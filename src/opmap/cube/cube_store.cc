@@ -136,8 +136,8 @@ Status CubeStore::AddCounts(const CubeStore& delta) {
   return Status::OK();
 }
 
-Result<CubeBuilder> CubeBuilder::Make(Schema schema,
-                                      CubeStoreOptions options) {
+Status CubeStore::InitLayout(Schema schema,
+                             const CubeStoreOptions& options) {
   if (schema.num_attributes() == 0) {
     return Status::InvalidArgument("empty schema");
   }
@@ -169,24 +169,26 @@ Result<CubeBuilder> CubeBuilder::Make(Schema schema,
     }
     std::sort(attrs.begin(), attrs.end());
   }
+  schema_ = std::move(schema);
+  attributes_ = std::move(attrs);
+  attr_slot_.assign(static_cast<size_t>(schema_.num_attributes()), -1);
+  for (size_t i = 0; i < attributes_.size(); ++i) {
+    attr_slot_[static_cast<size_t>(attributes_[i])] = static_cast<int>(i);
+  }
+  class_counts_.assign(static_cast<size_t>(schema_.num_classes()), 0);
+  has_pair_cubes_ = options.build_pair_cubes;
+  return Status::OK();
+}
 
+Result<CubeBuilder> CubeBuilder::Make(Schema schema,
+                                      CubeStoreOptions options) {
   CubeBuilder builder;
+  CubeStore& store = builder.store_;
+  OPMAP_RETURN_NOT_OK(store.InitLayout(std::move(schema), options));
   builder.parallel_ = options.parallel;
   builder.max_memory_bytes_ = options.max_memory_bytes;
   builder.kernel_ = options.kernel;
   builder.block_rows_ = ResolveBlockRows(options.block_rows);
-  CubeStore& store = builder.store_;
-  store.schema_ = std::move(schema);
-  store.attributes_ = std::move(attrs);
-  store.attr_slot_.assign(
-      static_cast<size_t>(store.schema_.num_attributes()), -1);
-  for (size_t i = 0; i < store.attributes_.size(); ++i) {
-    store.attr_slot_[static_cast<size_t>(store.attributes_[i])] =
-        static_cast<int>(i);
-  }
-  store.class_counts_.assign(
-      static_cast<size_t>(store.schema_.num_classes()), 0);
-  store.has_pair_cubes_ = options.build_pair_cubes;
 
   builder.class_index_ = store.schema_.class_index();
   builder.num_classes_ = store.schema_.num_classes();

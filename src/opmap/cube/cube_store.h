@@ -168,9 +168,16 @@ class CubeStore {
 
   CubeStore();  // out of line: the lazy-mapping state is incomplete here
 
+  // Validates `options` against `schema` and sets every field but the
+  // cubes, the record count and the class counts (zeroed): the layout
+  // CubeBuilder::Make allocates cubes for, and mapped loads point views at.
+  Status InitLayout(Schema schema, const CubeStoreOptions& options);
+
   // Version-specific load paths (cube_io.cc). ReadMeta fills everything
-  // that is not schema or cube counts.
-  static Status ReadMeta(BinaryReader* r, Schema schema, CubeStore* out);
+  // that is not schema or cube counts; with `build_cubes` false it leaves
+  // the cube vectors empty (the caller builds views instead).
+  static Status ReadMeta(BinaryReader* r, Schema schema, CubeStore* out,
+                         bool build_cubes = true);
   static Result<CubeStore> LoadV1(BinaryReader* r, std::istream* in);
   static Result<CubeStore> LoadV2(const std::string& bytes);
   static Result<CubeStore> LoadV3Eager(const std::string& bytes);
@@ -184,11 +191,12 @@ class CubeStore {
     uint32_t crc = 0;
   };
   // Parses the schema/meta/cube_index sections of a v3 container (already
-  // CRC-verified by the caller) into a zeroed store plus one index entry
-  // per cube; cube_data payload bytes are not touched.
+  // CRC-verified by the caller) into a store plus one index entry per
+  // cube; cube_data payload bytes are not touched. With `views` every cube
+  // is a view of its count array in `data`; otherwise a zeroed owned cube.
   static Status ParseV3Skeleton(const char* data,
                                 const std::vector<AlignedSection>& sections,
-                                CubeStore* store,
+                                bool views, CubeStore* store,
                                 std::vector<V3CubeEntry>* entries);
 
   // First-touch payload verification for lazily loaded stores: CRC-checks

@@ -82,14 +82,9 @@ Result<Address> ParseAddress(const std::string& text) {
   return addr;
 }
 
-Result<int> ListenOn(const Address& address, std::string* bound,
-                     bool reuse_port) {
+Result<int> ListenOn(const Address& address, std::string* bound) {
   int fd = -1;
   if (address.is_unix) {
-    if (reuse_port) {
-      return Status::FailedPrecondition(
-          "SO_REUSEPORT sharding applies to TCP listeners only");
-    }
     OPMAP_ASSIGN_OR_RETURN(fd, NewSocket(AF_UNIX));
     sockaddr_un sa{};
     sa.sun_family = AF_UNIX;
@@ -107,20 +102,6 @@ Result<int> ListenOn(const Address& address, std::string* bound,
     OPMAP_ASSIGN_OR_RETURN(fd, NewSocket(AF_INET));
     const int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (reuse_port) {
-#ifdef SO_REUSEPORT
-      if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) !=
-          0) {
-        Status st = Errno("setsockopt SO_REUSEPORT");
-        ::close(fd);
-        return st;
-      }
-#else
-      ::close(fd);
-      return Status::FailedPrecondition(
-          "SO_REUSEPORT is not available on this platform");
-#endif
-    }
     sockaddr_in sa{};
     sa.sin_family = AF_INET;
     sa.sin_port = htons(static_cast<uint16_t>(address.port));

@@ -23,15 +23,9 @@ Result<Address> ParseAddress(const std::string& text);
 /// Binds and listens on `address`; returns the fd (non-blocking,
 /// close-on-exec). `bound` receives the actual address in listen-option
 /// syntax (resolving port 0). Unix sockets unlink a stale path first.
-///
-/// With `reuse_port`, the TCP socket is bound with SO_REUSEPORT so N
-/// listeners can share one port and the kernel spreads accepts across
-/// them (the sharded-event-loop mode of docs/SERVING.md). Fails with
-/// FailedPrecondition when the platform lacks SO_REUSEPORT and on unix
-/// sockets (whose REUSEPORT semantics are not load-balancing), so the
-/// caller can fall back to a single listener.
-Result<int> ListenOn(const Address& address, std::string* bound,
-                     bool reuse_port = false);
+/// The daemon opens exactly one listener, whatever its loop count: loop 0
+/// accepts and hands connections to the other loops (docs/SERVING.md).
+Result<int> ListenOn(const Address& address, std::string* bound);
 
 /// The uid of the peer of a connected AF_UNIX socket, via SO_PEERCRED
 /// (Linux) or getpeereid (BSDs). Basis of the daemon's --allow-uid check.

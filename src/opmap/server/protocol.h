@@ -37,10 +37,11 @@ namespace opmap::server {
 // the order it was received, but stateless ops (ping/schema/compare/
 // all-pairs/gi/stats) of one connection may *execute* concurrently, up
 // to the daemon's per-connection depth — the response stream never
-// reveals the reordering. Session-bound ops (session/render) execute
-// one at a time with the connection otherwise quiesced, and kReload is
-// a global barrier. Blocking clients that wait for each response before
-// sending the next are unaffected.
+// reveals the reordering. Session-bound ops (session/render) and kReload
+// execute one at a time with the connection otherwise quiesced, so a
+// client's request after its own reload sees the reloaded store. Other
+// connections never wait for a reload. Blocking clients that wait for
+// each response before sending the next are unaffected.
 // ---------------------------------------------------------------------------
 
 /// Frame header size; identical to kWalFrameHeaderBytes by construction.

@@ -167,11 +167,45 @@ extern "C" void OpmapdSignalHandler(int /*signo*/) {
 
 }  // namespace
 
+// One published store: the loaded container, its generation and a
+// QueryEngine (with its own result cache) over it. Immutable once
+// published; requests pin it with a shared_ptr, so a reload neither waits
+// for them nor frees a store one of them still reads.
+struct Snapshot {
+  Snapshot(CubeStore loaded, uint64_t gen, std::string source,
+           const ServerOptions& options)
+      : store(std::move(loaded)),
+        generation(gen),
+        path(std::move(source)),
+        engine(&store, options.cache_bytes, options.parallel) {}
+
+  const CubeStore store;
+  const uint64_t generation;
+  const std::string path;  // the default target of the next reload
+  const QueryEngine engine;
+};
+
+namespace {
+
+Result<std::shared_ptr<const Snapshot>> LoadSnapshot(
+    const std::string& path, uint64_t generation,
+    const ServerOptions& options) {
+  CubeLoadOptions load;
+  load.use_mmap = options.use_mmap;
+  OPMAP_ASSIGN_OR_RETURN(CubeStore store,
+                         CubeStore::LoadFromFile(path, nullptr, load));
+  return std::make_shared<const Snapshot>(std::move(store), generation, path,
+                                          options);
+}
+
+}  // namespace
+
 // One accepted socket, owned by exactly one EventLoop for its whole life.
 // The loop thread owns every field except `session`, which the pool
-// worker of the currently-executing session-bound op owns while
-// `session_executing` is true — session ops execute one at a time with
-// the connection otherwise quiesced, so the session needs no lock.
+// worker of the currently-executing serial op owns while
+// `serial_executing` is true — serial ops (session, render, reload)
+// execute one at a time with the connection otherwise quiesced, so the
+// session needs no lock.
 //
 // Pipelining: every parsed frame is assigned a per-connection sequence
 // number. Stateless ops execute concurrently (up to the pipelining
@@ -191,29 +225,33 @@ class Connection {
   };
   std::deque<PendingFrame> pending;  // parsed, not yet dispatched
   int executing = 0;                 // dispatched, completion outstanding
-  bool session_executing = false;    // one of them is session-bound
+  bool serial_executing = false;     // one of them is a serial op
   uint64_t next_seq = 1;             // assigned to frames as they parse
   uint64_t next_emit = 1;            // next response seq to put on the wire
   std::map<uint64_t, std::string> reorder;  // seq -> encoded response frame
   bool closing = false;  // close once everything queued is emitted+flushed
   bool dead = false;     // read/write failed; close at the next sweep
+  // The session reads the snapshot of `session_generation` but holds no
+  // reference to it: EnsureSession rebuilds it unless the request pinned
+  // that same generation, so an idle connection keeps no superseded
+  // snapshot alive.
   std::unique_ptr<ExplorationSession> session;
   uint64_t session_generation = 0;
 
   bool FinishedFlushing() const { return out_off >= out.size(); }
 };
 
-// One poll(2) event loop: its own listener (SO_REUSEPORT mode) or a
-// hand-off queue fed by loop 0, its own wake pipe, connections, zombies
-// and completion queue. Loops share the Server's engine, admission
-// counter and reload barrier; they never touch each other's connections.
+// One poll(2) event loop: the listener (loop 0 only) or a hand-off queue
+// fed by loop 0, its own wake pipe, connections, zombies and completion
+// queue. Loops share the Server's snapshot and admission counter; they
+// never touch each other's connections.
 class EventLoop {
  public:
   struct Completion {
     uint64_t conn_id = 0;
     uint64_t seq = 0;
     bool ok = false;  // response status was OK (counted on the loop thread)
-    bool is_session = false;
+    bool serial = false;
     std::string frame;  // fully encoded response frame
   };
 
@@ -257,8 +295,8 @@ class EventLoop {
     }
   }
 
-  // Called by loop 0 in hand-off mode; the fd's connection-count
-  // reservation transfers with it.
+  // Called by loop 0, the acceptor; the fd's connection-count reservation
+  // transfers with it.
   void PushHandoff(int fd) {
     {
       std::lock_guard<std::mutex> lock(handoff_mu_);
@@ -282,23 +320,6 @@ class EventLoop {
   // this loop's last pass, then closes every connection (none executing).
   void CloseAfterDrain();
 
-  // Emits a response to a connection of this loop by id (reload replies
-  // and drain cancellations route through here).
-  void RespondToConn(uint64_t conn_id, uint64_t seq, uint64_t request_id,
-                     RespStatus status, const std::string& body) {
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;
-    EmitStatus(it->second.get(), seq, request_id, status, body);
-    FlushConnection(it->second.get());
-  }
-
-  // The reload barrier this loop parked behind has dropped: re-run every
-  // connection's dispatch queue.
-  void ResumeAfterReload() {
-    parked_for_reload_ = false;
-    PumpAllConnections();
-  }
-
  private:
   Connection* AdoptFd(int fd);
   void AcceptConnections();
@@ -311,7 +332,6 @@ class EventLoop {
   void HandleFrame(Connection* conn, uint64_t request_id,
                    std::string payload);
   void PumpConnection(Connection* conn);
-  void PumpAllConnections();
   void DrainCompletions();
   void Emit(Connection* conn, uint64_t seq, std::string frame);
   void EmitStatus(Connection* conn, uint64_t seq, uint64_t request_id,
@@ -323,7 +343,7 @@ class EventLoop {
 
   Server* server_;
   const int index_;
-  int listen_fd_ = -1;  // -1: this loop accepts via hand-off only
+  int listen_fd_ = -1;  // loop 0 only; the others adopt hand-offs
   int wake_read_fd_ = -1;
   std::atomic<int> wake_write_fd_{-1};
 
@@ -342,9 +362,8 @@ class EventLoop {
   // Requests this loop dispatched and not yet completed (the loop's share
   // of Server::inflight_); the loop exits a drain only at zero.
   int local_outstanding_ = 0;
-  int next_handoff_ = 0;  // round-robin target (loop 0, hand-off mode)
+  int next_handoff_ = 0;  // round-robin target (loop 0)
   bool draining_ = false;
-  bool parked_for_reload_ = false;
 
   ServerStats stats_;
   Status status_;
@@ -361,15 +380,8 @@ Result<std::unique_ptr<Server>> Server::Start(const ServerOptions& options) {
     return Status::InvalidArgument("ServerOptions.cubes_path is required");
   }
 
-  CubeLoadOptions load;
-  load.use_mmap = options.use_mmap;
-  OPMAP_ASSIGN_OR_RETURN(
-      CubeStore store,
-      CubeStore::LoadFromFile(options.cubes_path, nullptr, load));
-  server->store_ = std::make_unique<CubeStore>(std::move(store));
-  server->engine_ = std::make_unique<QueryEngine>(
-      server->store_.get(), options.cache_bytes, options.parallel);
-  server->current_cubes_path_ = options.cubes_path;
+  OPMAP_ASSIGN_OR_RETURN(server->snapshot_,
+                         LoadSnapshot(options.cubes_path, 1, options));
 
   OPMAP_ASSIGN_OR_RETURN(Address addr, ParseAddress(options.listen));
   if (!options.allow_uids.empty() && !addr.is_unix) {
@@ -378,62 +390,14 @@ Result<std::unique_ptr<Server>> Server::Start(const ServerOptions& options) {
         "credentials)");
   }
 
+  // One listener, on loop 0, which deals accepted sockets to every loop.
   const int num_loops = EffectiveLoops(options);
-
-  // TCP with >1 loop: try one SO_REUSEPORT listener per loop so the
-  // kernel shards accepts. Any failure (platform without REUSEPORT)
-  // falls back to the single listener + hand-off mode below.
-  std::vector<int> listen_fds;
-  if (!addr.is_unix && num_loops > 1) {
-    std::string bound;
-    Result<int> first = ListenOn(addr, &bound, /*reuse_port=*/true);
-    if (first.ok()) {
-      listen_fds.push_back(*first);
-      // Re-parse the resolved address so listeners 2..N bind the port the
-      // OS actually assigned when the option said port 0.
-      Result<Address> resolved = ParseAddress(bound);
-      bool all_ok = resolved.ok();
-      for (int i = 1; all_ok && i < num_loops; ++i) {
-        std::string ignored;
-        Result<int> fd = ListenOn(*resolved, &ignored, /*reuse_port=*/true);
-        if (fd.ok()) {
-          listen_fds.push_back(*fd);
-        } else {
-          all_ok = false;
-        }
-      }
-      if (all_ok) {
-        server->address_ = bound;
-        server->sharded_listeners_ = true;
-      } else {
-        for (int fd : listen_fds) ::close(fd);
-        listen_fds.clear();
-      }
-    }
-  }
-  if (listen_fds.empty()) {
-    OPMAP_ASSIGN_OR_RETURN(int fd, ListenOn(addr, &server->address_));
-    listen_fds.push_back(fd);
-  }
+  OPMAP_ASSIGN_OR_RETURN(int listen_fd, ListenOn(addr, &server->address_));
   if (addr.is_unix) server->unix_path_ = addr.path;
-
   for (int i = 0; i < num_loops; ++i) {
     auto loop = std::make_unique<EventLoop>(server.get(), i);
-    const int listen_fd = server->sharded_listeners_
-                              ? listen_fds[static_cast<size_t>(i)]
-                              : (i == 0 ? listen_fds[0] : -1);
-    const Status st = loop->Init(listen_fd);
-    if (!st.ok()) {
-      // Fds not yet owned by a loop must not leak.
-      if (server->sharded_listeners_) {
-        for (int j = i; j < num_loops; ++j) {
-          ::close(listen_fds[static_cast<size_t>(j)]);
-        }
-      } else if (i == 0) {
-        ::close(listen_fds[0]);
-      }
-      return st;
-    }
+    // Loop 0 owns the listener from Init on, even when Init fails.
+    OPMAP_RETURN_NOT_OK(loop->Init(i == 0 ? listen_fd : -1));
     server->loops_.push_back(std::move(loop));
   }
   LoopsGauge()->Set(num_loops);
@@ -453,21 +417,6 @@ Server::~Server() {
 void Server::Shutdown() {
   shutdown_requested_.store(true, std::memory_order_release);
   for (auto& loop : loops_) loop->Wake();
-}
-
-void Server::WakeAllLoops() {
-  for (auto& loop : loops_) loop->Wake();
-}
-
-void Server::WakeReloadOwner() {
-  int owner = -1;
-  {
-    std::lock_guard<std::mutex> lock(reload_mu_);
-    owner = reload_loop_;
-  }
-  if (owner >= 0 && owner < static_cast<int>(loops_.size())) {
-    loops_[static_cast<size_t>(owner)]->Wake();
-  }
 }
 
 void Server::InstallSignalHandlers(Server* server) {
@@ -490,20 +439,20 @@ ServerStats Server::stats() const {
     total.responses_error += s.responses_error;
     total.shed_retry_later += s.shed_retry_later;
     total.protocol_errors += s.protocol_errors;
-    total.reloads += s.reloads;
-    total.reload_failures += s.reload_failures;
     total.auth_rejected += s.auth_rejected;
   }
+  std::lock_guard<std::mutex> lock(reload_mu_);
+  total.reloads = reloads_;
+  total.reload_failures = reload_failures_;
   return total;
 }
 
 Status Server::Serve() {
   if (options_.verbose) {
-    std::fprintf(stderr, "opmapd: serving %s on %s (%zu loops, %s)\n",
+    std::fprintf(stderr,
+                 "opmapd: serving %s on %s (%zu loops, loop 0 accepts)\n",
                  options_.cubes_path.c_str(), address_.c_str(),
-                 loops_.size(),
-                 sharded_listeners_ ? "SO_REUSEPORT sharded"
-                                    : "single listener");
+                 loops_.size());
   }
   {
     std::vector<std::thread> threads;
@@ -529,137 +478,51 @@ Status Server::Serve() {
   return Status::OK();
 }
 
-// ------------------------- reload coordination -----------------------------
+// ------------------------------ snapshots ----------------------------------
 
-bool Server::TryClaimReload(int loop_index, uint64_t conn_id, uint64_t seq,
-                            uint64_t request_id, std::string body) {
-  std::lock_guard<std::mutex> lock(reload_mu_);
-  if (reload_pending_.load(std::memory_order_seq_cst)) return false;
-  reload_loop_ = loop_index;
-  reload_conn_id_ = conn_id;
-  reload_seq_ = seq;
-  reload_request_id_ = request_id;
-  reload_body_ = std::move(body);
-  // seq_cst pairs with the dispatch-side increment-then-recheck: a
-  // dispatcher either observes this flag and backs out, or its inflight
-  // increment is visible to the owner, whose completion will wake it.
-  reload_pending_.store(true, std::memory_order_seq_cst);
-  return true;
+std::shared_ptr<const Snapshot> Server::CurrentSnapshot() const {
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  return snapshot_;
 }
 
-void Server::ReleaseInflight() {
-  if (inflight_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
-      reload_pending_.load(std::memory_order_seq_cst)) {
-    WakeReloadOwner();
-  }
-}
-
-void Server::CancelReloadForDrain(int loop_index) {
-  uint64_t conn_id = 0;
-  uint64_t seq = 0;
-  uint64_t request_id = 0;
-  {
-    std::lock_guard<std::mutex> lock(reload_mu_);
-    if (!reload_pending_.load(std::memory_order_seq_cst) ||
-        reload_loop_ != loop_index) {
-      return;
-    }
-    conn_id = reload_conn_id_;
-    seq = reload_seq_;
-    request_id = reload_request_id_;
-    reload_loop_ = -1;
-    reload_body_.clear();
-    reload_pending_.store(false, std::memory_order_seq_cst);
-  }
-  loops_[static_cast<size_t>(loop_index)]->RespondToConn(
-      conn_id, seq, request_id, RespStatus::kShuttingDown,
-      ShuttingDownBody());
-  WakeAllLoops();
-}
-
-void Server::PerformReload(EventLoop* owner) {
-  OPMAP_TRACE_SPAN("server.reload");
-  uint64_t conn_id = 0;
-  uint64_t seq = 0;
-  uint64_t request_id = 0;
-  std::string body;
-  std::string default_path;
-  {
-    std::lock_guard<std::mutex> lock(reload_mu_);
-    conn_id = reload_conn_id_;
-    seq = reload_seq_;
-    request_id = reload_request_id_;
-    body = std::move(reload_body_);
-    reload_body_.clear();
-    default_path = current_cubes_path_;
-  }
-  auto respond = [&](RespStatus status, const std::string& resp_body) {
-    owner->RespondToConn(conn_id, seq, request_id, status, resp_body);
-  };
-  // Drops the barrier and restarts dispatch everywhere: parked loops wake
-  // and re-pump their connections.
-  auto finish = [&] {
-    {
-      std::lock_guard<std::mutex> lock(reload_mu_);
-      reload_loop_ = -1;
-      reload_pending_.store(false, std::memory_order_seq_cst);
-    }
-    WakeAllLoops();
-    owner->ResumeAfterReload();
-  };
-
+std::string Server::Reload(const std::string& body) {
   Result<ReloadRequest> req = DecodeReloadRequest(body);
-  if (!req.ok()) {
-    respond(RespStatusForError(req.status()),
-            EncodeErrorBody(req.status().code(), req.status().message()));
-    finish();
-    return;
-  }
-  const std::string path = req->path.empty() ? default_path : req->path;
-  CubeLoadOptions load;
-  load.use_mmap = options_.use_mmap;
-  Result<CubeStore> loaded = CubeStore::LoadFromFile(path, nullptr, load);
-  if (!loaded.ok()) {
+  if (!req.ok()) return ErrorResponse(req.status());
+  std::lock_guard<std::mutex> lock(reload_mu_);
+  OPMAP_TRACE_SPAN("server.reload");
+  // Only reloads publish, and they hold reload_mu_: `current` stays the
+  // newest snapshot until this reload replaces it.
+  const std::shared_ptr<const Snapshot> current = CurrentSnapshot();
+  const std::string path = req->path.empty() ? current->path : req->path;
+  Result<std::shared_ptr<const Snapshot>> fresh =
+      LoadSnapshot(path, current->generation + 1, options_);
+  if (!fresh.ok()) {
     ReloadFailures()->Increment();
-    owner->stats_.reload_failures++;
+    reload_failures_++;
     if (options_.verbose) {
       std::fprintf(stderr, "opmapd: reload of %s failed: %s\n", path.c_str(),
-                   loaded.status().ToString().c_str());
+                   fresh.status().ToString().c_str());
     }
-    respond(RespStatusForError(loaded.status()),
-            EncodeErrorBody(loaded.status().code(),
-                            loaded.status().message()));
-    finish();
-    return;
+    return ErrorResponse(fresh.status());
   }
-  // Global inflight is 0 here: no worker holds the store, a session view,
-  // or a half-built result. Sessions created against the old store are
-  // invalidated lazily — EnsureSession compares its generation stamp
-  // before any worker touches one again — so no loop has to reach into
-  // another loop's connections. SetStore bumps the shared cache's epoch,
-  // invalidating every cached cmp|/gi|/view| entry at once.
-  auto fresh = std::make_unique<CubeStore>(std::move(loaded).MoveValue());
-  engine_->SetStore(fresh.get());
-  store_ = std::move(fresh);  // the old store is destroyed after the swap
-  const uint64_t generation =
-      store_generation_.fetch_add(1, std::memory_order_seq_cst) + 1;
+  const std::shared_ptr<const Snapshot> published = *fresh;
   {
-    std::lock_guard<std::mutex> lock(reload_mu_);
-    current_cubes_path_ = path;
+    std::lock_guard<std::mutex> swap(snapshot_mu_);
+    snapshot_ = published;
   }
   ReloadsCounter()->Increment();
-  owner->stats_.reloads++;
+  reloads_++;
   if (options_.verbose) {
     std::fprintf(stderr,
                  "opmapd: reloaded %s (generation %llu, %lld records)\n",
-                 path.c_str(), static_cast<unsigned long long>(generation),
-                 static_cast<long long>(store_->num_records()));
+                 path.c_str(),
+                 static_cast<unsigned long long>(published->generation),
+                 static_cast<long long>(published->store.num_records()));
   }
   ReloadInfo info;
-  info.store_generation = generation;
-  info.num_records = store_->num_records();
-  respond(RespStatus::kOk, EncodeReloadInfo(info));
-  finish();
+  info.store_generation = published->generation;
+  info.num_records = published->store.num_records();
+  return EncodeResponse(RespStatus::kOk, EncodeReloadInfo(info));
 }
 
 // ----------------------------- event loop ----------------------------------
@@ -674,33 +537,9 @@ void EventLoop::Run() {
     }
     DrainHandoff();
     DrainCompletions();
-    {
-      bool owns_reload = false;
-      {
-        std::lock_guard<std::mutex> lock(server_->reload_mu_);
-        owns_reload =
-            server_->reload_pending_.load(std::memory_order_seq_cst) &&
-            server_->reload_loop_ == index_;
-      }
-      if (owns_reload &&
-          server_->inflight_.load(std::memory_order_seq_cst) == 0) {
-        server_->PerformReload(this);
-      }
-    }
-    if (parked_for_reload_ &&
-        !server_->reload_pending_.load(std::memory_order_seq_cst)) {
-      ResumeAfterReload();
-    }
     SweepClosedConnections();
     if (draining_ && local_outstanding_ == 0) {
       bool quiesced = true;
-      {
-        std::lock_guard<std::mutex> lock(server_->reload_mu_);
-        if (server_->reload_pending_.load(std::memory_order_seq_cst) &&
-            server_->reload_loop_ == index_) {
-          quiesced = false;  // answer the parked reload first
-        }
-      }
       for (auto& [id, conn] : conns_) {
         if (!conn->FinishedFlushing() || !conn->reorder.empty()) {
           quiesced = false;
@@ -840,8 +679,8 @@ bool EventLoop::PeerAllowed(int fd) {
 void EventLoop::AcceptConnections() {
   const ServerOptions& options = server_->options_;
   for (;;) {
-    // Reserve a connection slot before accepting so N loops racing on
-    // SO_REUSEPORT listeners cannot exceed max_connections together.
+    // Reserve a connection slot before accepting: the count is shared
+    // with every loop, which release slots as their connections close.
     const int reserved =
         server_->total_connections_.fetch_add(1, std::memory_order_relaxed);
     if (reserved >= options.max_connections) {
@@ -860,13 +699,8 @@ void EventLoop::AcceptConnections() {
       server_->total_connections_.fetch_sub(1, std::memory_order_relaxed);
       continue;
     }
-    if (server_->sharded_listeners_ ||
-        static_cast<int>(server_->loops_.size()) == 1) {
-      AdoptFd(fd);
-      continue;
-    }
-    // Hand-off mode: loop 0 owns the only listener and deals sockets
-    // round-robin so every loop carries load.
+    // Loop 0 owns the only listener and deals sockets round-robin so
+    // every loop carries load.
     const int target =
         next_handoff_++ % static_cast<int>(server_->loops_.size());
     if (target == index_) {
@@ -973,69 +807,41 @@ void EventLoop::PumpConnection(Connection* conn) {
       continue;
     }
     const Op op = static_cast<Op>(front.payload[0]);
-    if (op == Op::kReload) {
-      if (!server_->TryClaimReload(index_, conn->id, front.seq,
-                                   front.request_id,
-                                   front.payload.substr(1))) {
-        ShedFrame(conn, front.seq, front.request_id,
-                  "another reload is already pending");
-        conn->pending.pop_front();
-        continue;
-      }
-      conn->pending.pop_front();
-      // The barrier is up; later frames of every connection park until
-      // the owning loop (us) swaps the store at global inflight 0.
-      parked_for_reload_ = true;
-      break;
-    }
-    if (server_->reload_pending_.load(std::memory_order_seq_cst)) {
-      parked_for_reload_ = true;
-      break;
-    }
-    const bool is_session = op == Op::kSession || op == Op::kRender;
-    if (is_session) {
-      // Session ops need the connection quiesced: they own the session
-      // without a lock and their response must not overtake earlier ones.
+    // Serial ops need the connection quiesced: session ops own the session
+    // without a lock, a reload must be visible to the connection's next
+    // request, and no response may overtake an earlier one.
+    const bool serial =
+        op == Op::kSession || op == Op::kRender || op == Op::kReload;
+    if (serial) {
       if (conn->executing > 0) break;
     } else {
-      if (conn->session_executing) break;
+      if (conn->serial_executing) break;
       if (conn->executing >= options.max_pending_per_connection) break;
     }
-    const int prior =
-        server_->inflight_.fetch_add(1, std::memory_order_seq_cst);
+    const int prior = server_->inflight_.fetch_add(1);
     if (prior >= options.max_inflight) {
-      server_->ReleaseInflight();
+      server_->inflight_.fetch_sub(1);
       ShedFrame(conn, front.seq, front.request_id,
                 "server at max in-flight requests");
       conn->pending.pop_front();
       continue;
     }
-    if (server_->reload_pending_.load(std::memory_order_seq_cst)) {
-      // A reload claimed the barrier between the head-of-loop check and
-      // our admission increment; back out so it cannot be starved.
-      server_->ReleaseInflight();
-      parked_for_reload_ = true;
-      break;
-    }
     InflightGauge()->SetMax(prior + 1);
     local_outstanding_++;
     conn->executing++;
-    if (is_session) conn->session_executing = true;
+    if (serial) conn->serial_executing = true;
     Connection::PendingFrame frame = std::move(conn->pending.front());
     conn->pending.pop_front();
+    // The task pins the current snapshot: the request runs wholly on it
+    // even if a reload publishes another meanwhile.
     ThreadPool::Shared()->Post(
-        [server = server_, loop = this, conn, is_session,
+        [server = server_, loop = this, conn, serial,
+         snapshot = server_->CurrentSnapshot(),
          frame = std::move(frame)]() mutable {
-          server->ExecuteRequest(loop, conn, frame.seq, is_session,
-                                 frame.request_id, std::move(frame.payload));
+          server->ExecuteRequest(loop, conn, std::move(snapshot), frame.seq,
+                                 serial, frame.request_id,
+                                 std::move(frame.payload));
         });
-  }
-}
-
-void EventLoop::PumpAllConnections() {
-  for (auto& [id, conn] : conns_) {
-    PumpConnection(conn.get());
-    FlushConnection(conn.get());
   }
 }
 
@@ -1046,7 +852,7 @@ void EventLoop::DrainCompletions() {
     done.swap(completions_);
   }
   for (Completion& c : done) {
-    server_->ReleaseInflight();
+    server_->inflight_.fetch_sub(1);
     local_outstanding_--;
     CountResponse(c.ok);
     auto zombie = zombies_.find(c.conn_id);
@@ -1055,7 +861,7 @@ void EventLoop::DrainCompletions() {
       // destroy the parked Connection with its last completion.
       Connection* z = zombie->second.get();
       z->executing--;
-      if (c.is_session) z->session_executing = false;
+      if (c.serial) z->serial_executing = false;
       if (z->executing == 0) zombies_.erase(zombie);
       continue;
     }
@@ -1063,7 +869,7 @@ void EventLoop::DrainCompletions() {
     if (it == conns_.end()) continue;
     Connection* conn = it->second.get();
     conn->executing--;
-    if (c.is_session) conn->session_executing = false;
+    if (c.serial) conn->serial_executing = false;
     Emit(conn, c.seq, std::move(c.frame));
     FlushConnection(conn);
     PumpConnection(conn);
@@ -1191,21 +997,19 @@ void EventLoop::BeginDrain() {
     }
     FlushConnection(conn.get());
   }
-  // A reload this loop claimed and has not performed yet is answered
-  // SHUTTING_DOWN; other loops' claims are theirs to settle.
-  server_->CancelReloadForDrain(index_);
 }
 
 // ------------------------- pool-worker execution ---------------------------
 
-void Server::ExecuteRequest(EventLoop* loop, Connection* conn, uint64_t seq,
-                            bool is_session, uint64_t request_id,
+void Server::ExecuteRequest(EventLoop* loop, Connection* conn,
+                            std::shared_ptr<const Snapshot> snapshot,
+                            uint64_t seq, bool serial, uint64_t request_id,
                             std::string payload) {
   const int64_t start_us = MonotonicMicros();
   std::string response;
   {
     OPMAP_TRACE_SPAN("server.request");
-    response = HandleRequestPayload(conn, payload);
+    response = HandleRequestPayload(conn, *snapshot, payload);
   }
   const int64_t elapsed = MonotonicMicros() - start_us;
   RequestHistogram()->Record(elapsed);
@@ -1215,25 +1019,30 @@ void Server::ExecuteRequest(EventLoop* loop, Connection* conn, uint64_t seq,
   EventLoop::Completion done;
   done.conn_id = conn->id;
   done.seq = seq;
-  done.is_session = is_session;
+  done.serial = serial;
   done.ok = !response.empty() &&
             response[0] == static_cast<char>(RespStatus::kOk);
   done.frame = EncodeFrame(request_id, response);
+  // Unpin before answering: the last request on a superseded snapshot (or
+  // the reload that superseded it, when nothing else pinned it) frees it
+  // here, so the client's next request does not race that teardown.
+  snapshot.reset();
   loop->PostCompletion(std::move(done));
 }
 
-void Server::EnsureSession(Connection* conn) {
-  const uint64_t generation =
-      store_generation_.load(std::memory_order_acquire);
-  if (conn->session == nullptr || conn->session_generation != generation) {
-    conn->session = std::make_unique<ExplorationSession>(engine_->store());
-    conn->session->set_cache(engine_->cache());
-    conn->session_generation = generation;
+void Server::EnsureSession(Connection* conn, const Snapshot& snapshot) {
+  if (conn->session == nullptr ||
+      conn->session_generation != snapshot.generation) {
+    conn->session = std::make_unique<ExplorationSession>(&snapshot.store);
+    conn->session->set_cache(snapshot.engine.cache());
+    conn->session_generation = snapshot.generation;
   }
 }
 
 std::string Server::HandleRequestPayload(Connection* conn,
+                                         const Snapshot& snapshot,
                                          const std::string& payload) {
+  const QueryEngine& engine = snapshot.engine;
   const Op op = static_cast<Op>(payload[0]);
   const std::string body = payload.substr(1);
   switch (op) {
@@ -1242,9 +1051,7 @@ std::string Server::HandleRequestPayload(Connection* conn,
     case Op::kSchema:
       return EncodeResponse(
           RespStatus::kOk,
-          EncodeSchemaInfo(*engine_->store(),
-                           store_generation_.load(
-                               std::memory_order_acquire)));
+          EncodeSchemaInfo(snapshot.store, snapshot.generation));
     case Op::kCompare: {
       Result<CompareRequest> req = DecodeCompareRequest(body);
       if (!req.ok()) return BadRequestResponse(req.status());
@@ -1254,7 +1061,7 @@ std::string Server::HandleRequestPayload(Connection* conn,
       spec.value_b = req->value_b;
       spec.target_class = req->target_class;
       spec.min_population = req->min_population;
-      auto result = engine_->Compare(spec);
+      auto result = engine.Compare(spec);
       if (!result.ok()) return ErrorResponse(result.status());
       return EncodeResponse(RespStatus::kOk,
                             EncodeComparisonResult(**result));
@@ -1262,7 +1069,7 @@ std::string Server::HandleRequestPayload(Connection* conn,
     case Op::kAllPairs: {
       Result<AllPairsRequest> req = DecodeAllPairsRequest(body);
       if (!req.ok()) return BadRequestResponse(req.status());
-      auto result = engine_->CompareAllPairs(
+      auto result = engine.CompareAllPairs(
           req->attribute, req->target_class, req->min_population);
       if (!result.ok()) return ErrorResponse(result.status());
       return EncodeResponse(RespStatus::kOk, EncodePairSummaries(*result));
@@ -1274,7 +1081,7 @@ std::string Server::HandleRequestPayload(Connection* conn,
       gi.top_influence = req->top_influence;
       gi.mine_interactions = req->mine_interactions;
       gi.top_interactions = req->top_interactions;
-      auto result = engine_->Gi(gi);
+      auto result = engine.Gi(gi);
       if (!result.ok()) return ErrorResponse(result.status());
       return EncodeResponse(RespStatus::kOk,
                             EncodeGeneralImpressions(**result));
@@ -1282,7 +1089,7 @@ std::string Server::HandleRequestPayload(Connection* conn,
     case Op::kSession: {
       Result<SessionRequest> req = DecodeSessionRequest(body);
       if (!req.ok()) return BadRequestResponse(req.status());
-      EnsureSession(conn);
+      EnsureSession(conn, snapshot);
       ExplorationSession* session = conn->session.get();
       Status st;
       switch (req->verb) {
@@ -1316,7 +1123,7 @@ std::string Server::HandleRequestPayload(Connection* conn,
     case Op::kRender: {
       Result<RenderRequest> req = DecodeRenderRequest(body);
       if (!req.ok()) return BadRequestResponse(req.status());
-      EnsureSession(conn);
+      EnsureSession(conn, snapshot);
       if (!conn->session->has_view()) {
         return ErrorResponse(Status::FailedPrecondition(
             "no current view (open an attribute first)"));
@@ -1336,8 +1143,7 @@ std::string Server::HandleRequestPayload(Connection* conn,
           FormatMetricsJson(MetricsRegistry::Global()->Snapshot(), slim));
     }
     case Op::kReload:
-      // Handled exclusively on the loop thread; a worker never sees it.
-      break;
+      return Reload(body);
   }
   return ErrorResponse(
       Status::Internal("unreachable op in HandleRequestPayload"));

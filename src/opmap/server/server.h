@@ -36,13 +36,11 @@ struct ServerOptions {
   /// Thread-pool workers reserved for request execution; 0 = the
   /// effective thread count of `parallel`.
   int workers = 0;
-  /// Event loops (acceptor + poll threads). 0 = hardware_concurrency
-  /// clamped to [1, 8]; explicit values are clamped to [1, 64]. On TCP
-  /// every loop owns its own SO_REUSEPORT listener so the kernel spreads
-  /// accepted connections across loops; unix sockets (and platforms
-  /// without SO_REUSEPORT) fall back to loop 0 accepting and handing
-  /// sockets to the other loops round-robin. Connections stay loop-affine
-  /// for their whole life either way.
+  /// Event loops (poll threads). 0 = hardware_concurrency clamped to
+  /// [1, 8]; explicit values are clamped to [1, 64]. Whatever the
+  /// transport, there is one listener: loop 0 accepts and hands sockets to
+  /// the loops round-robin. Connections stay loop-affine for their whole
+  /// life.
   int loops = 0;
   /// Unix-socket peer-credential allow list (SO_PEERCRED / getpeereid):
   /// when non-empty, a connection whose peer uid is not listed is
@@ -82,15 +80,19 @@ struct ServerStats {
 
 class EventLoop;    // defined in server.cc
 class Connection;   // defined in server.cc
+struct Snapshot;    // defined in server.cc
 
 /// The opmapd daemon: N poll(2) event loops, each owning a disjoint set
 /// of sockets, with request execution dispatched onto the shared
 /// ThreadPool. Stateless ops (compare/all-pairs/gi/schema/ping/stats) of
 /// one connection pipeline: up to max_pending_per_connection of them
 /// execute concurrently, and a per-connection reordering buffer emits the
-/// responses in request order. Session-bound ops (session/render) keep
-/// the serialized one-at-a-time discipline so each connection's
-/// ExplorationSession needs no lock.
+/// responses in request order. Session-bound ops (session/render) and
+/// reload run one at a time on a quiesced connection, so each
+/// connection's ExplorationSession needs no lock and a client's next
+/// request sees its own reload. Every request pins the store snapshot
+/// current at its dispatch; a reload publishes a new snapshot without
+/// waiting for, or holding up, other connections' requests.
 ///
 /// Thread model: Serve() runs loop 0 on the calling thread and spawns the
 /// remaining loops. Shutdown() may be called from any thread or from a
@@ -99,7 +101,7 @@ class Connection;   // defined in server.cc
 /// flush, and return. Destroy the Server only after Serve() returned.
 class Server {
  public:
-  /// Loads the store, binds the listen socket(s) and reserves pool
+  /// Loads the store, binds the listen socket and reserves pool
   /// workers. The server is not serving until Serve() is called.
   static Result<std::unique_ptr<Server>> Start(const ServerOptions& options);
 
@@ -111,10 +113,6 @@ class Server {
 
   /// The number of event loops actually running (after clamping).
   int loops() const { return static_cast<int>(loops_.size()); }
-
-  /// Whether every loop owns its own SO_REUSEPORT listener (TCP) rather
-  /// than loop 0 accepting and handing off. Informational (tests, logs).
-  bool sharded_listeners() const { return sharded_listeners_; }
 
   /// Runs the event loops until Shutdown(); drains before returning.
   Status Serve();
@@ -136,68 +134,46 @@ class Server {
 
   Server() = default;
 
-  // Called by the loop that dequeued a RELOAD frame. Returns false when
-  // another reload is already pending (the caller sheds with RETRY_LATER);
-  // on success the global dispatch barrier is up until PerformReload.
-  bool TryClaimReload(int loop_index, uint64_t conn_id, uint64_t seq,
-                      uint64_t request_id, std::string body);
-  // Drops a claimed reload during drain (owner loop only).
-  void CancelReloadForDrain(int loop_index);
-  // Swaps the store; runs on the owning loop once global inflight is 0.
-  void PerformReload(EventLoop* owner);
-  // Decrements the global inflight count; wakes the reload owner when the
-  // count hits zero with a reload pending.
-  void ReleaseInflight();
-  void WakeAllLoops();
-  void WakeReloadOwner();
+  // The snapshot a request dispatched now pins.
+  std::shared_ptr<const Snapshot> CurrentSnapshot() const;
 
-  // Pool-worker side: executes one request and posts the encoded response
-  // frame to the owning loop's completion queue.
-  void ExecuteRequest(EventLoop* loop, Connection* conn, uint64_t seq,
-                      bool is_session, uint64_t request_id,
-                      std::string payload);
-  void EnsureSession(Connection* conn);
-  std::string HandleRequestPayload(Connection* conn,
+  // Pool-worker side: executes one request against the snapshot pinned at
+  // its dispatch, unpins it, and posts the encoded response frame to the
+  // owning loop's completion queue.
+  void ExecuteRequest(EventLoop* loop, Connection* conn,
+                      std::shared_ptr<const Snapshot> snapshot, uint64_t seq,
+                      bool serial, uint64_t request_id, std::string payload);
+  void EnsureSession(Connection* conn, const Snapshot& snapshot);
+  std::string HandleRequestPayload(Connection* conn, const Snapshot& snapshot,
                                    const std::string& payload);
+  // Loads the requested container and publishes it as the next
+  // generation. A failed load answers an error and changes nothing.
+  std::string Reload(const std::string& body);
 
   ServerOptions options_;
   std::string address_;
   std::string unix_path_;  // non-empty: unlink on exit
   std::vector<std::unique_ptr<EventLoop>> loops_;
-  bool sharded_listeners_ = false;
   std::atomic<bool> shutdown_requested_{false};
 
-  std::unique_ptr<CubeStore> store_;
-  std::unique_ptr<QueryEngine> engine_;
-  // Bumped on every successful reload; sessions created against an older
-  // generation are lazily replaced by EnsureSession (their backing store
-  // is gone). Read from pool workers, written by the reloading loop.
-  std::atomic<uint64_t> store_generation_{1};
+  // The published store. Each request runs wholly on the snapshot it
+  // copied at dispatch; a reload swaps in a new one, and the old one dies
+  // with the last request that pinned it.
+  mutable std::mutex snapshot_mu_;
+  std::shared_ptr<const Snapshot> snapshot_;
+
+  // Serializes reloads, so each publishes exactly generation + 1; also
+  // guards the reload counters.
+  mutable std::mutex reload_mu_;
+  int64_t reloads_ = 0;
+  int64_t reload_failures_ = 0;
 
   std::atomic<uint64_t> next_conn_id_{1};
   std::atomic<int> total_connections_{0};
 
   // Requests dispatched to the pool and not yet completed, across all
-  // loops. Admission control bounds it by options_.max_inflight; reload
-  // waits for it to reach zero.
+  // loops. Admission control bounds it by options_.max_inflight.
   std::atomic<int> inflight_{0};
-
-  // The cross-loop reload barrier. reload_pending_ is the fast-path flag
-  // every dispatch re-checks after incrementing inflight_ (both seq_cst:
-  // either the dispatcher sees the flag and backs out, or the reloading
-  // loop sees a nonzero inflight and waits for the completion to wake
-  // it). The claim details live behind the mutex.
-  std::atomic<bool> reload_pending_{false};
-  mutable std::mutex reload_mu_;
-  int reload_loop_ = -1;
-  uint64_t reload_conn_id_ = 0;
-  uint64_t reload_seq_ = 0;
-  uint64_t reload_request_id_ = 0;
-  std::string reload_body_;
-  // The file currently served (reload targets it when the request names
-  // no path). Guarded by reload_mu_: reloads on different loops would
-  // otherwise race on it.
-  std::string current_cubes_path_;
 };
 
 }  // namespace opmap::server

@@ -1,5 +1,7 @@
 #include "opmap/stats/contingency.h"
 
+#include <math.h>
+
 #include <algorithm>
 #include <cmath>
 
@@ -56,7 +58,11 @@ namespace {
 double GammaQ(double a, double x) {
   if (x < 0 || a <= 0) return 1.0;
   if (x == 0) return 1.0;
-  const double gln = std::lgamma(a);
+  // lgamma_r, not std::lgamma: the latter also writes glibc's global
+  // `signgam`, a data race when GI requests run on concurrent threads.
+  // Same routine, so the result is bit-identical.
+  int sign = 0;
+  const double gln = ::lgamma_r(a, &sign);
   if (x < a + 1.0) {
     // Series for P(a,x), return 1 - P.
     double ap = a;

@@ -676,9 +676,10 @@ Dataset SliceRows(const Dataset& data, int64_t begin, int64_t end) {
   return batch;
 }
 
-// Sends a RELOAD naming `cube_path` to the daemon at `connect`. A busy
-// daemon may shed the reload with RETRY_LATER (another reload pending);
-// a short retry loop absorbs that without hiding persistent refusal.
+// Sends a RELOAD naming `cube_path` to the daemon at `connect`. Concurrent
+// reloads queue inside the daemon; it sheds one with RETRY_LATER only
+// through admission control (already at --max-inflight requests). A short
+// retry loop absorbs a momentary overload without hiding persistent one.
 Status NotifyDaemonReload(const std::string& connect,
                           const std::string& cube_path) {
   OPMAP_ASSIGN_OR_RETURN(std::unique_ptr<server::Client> client,
@@ -693,7 +694,8 @@ Status NotifyDaemonReload(const std::string& connect,
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   return Status::FailedPrecondition(
-      "daemon at " + connect + " kept shedding the reload (RETRY_LATER)");
+      "daemon at " + connect +
+      " shed the reload 3 times (RETRY_LATER: at its --max-inflight limit)");
 }
 
 int CmdIngest(const Args& args) {
@@ -936,9 +938,9 @@ int Usage() {
       "[--mmap=on|off] [--verbose]\n"
       "            opmapd query-serving daemon (docs/SERVING.md): prints "
       "'opmapd listening on ADDR', serves until SIGINT/SIGTERM, then "
-      "drains gracefully; --loops shards the event loop across N "
-      "acceptor threads (SO_REUSEPORT on TCP), --allow-uid restricts a "
-      "unix socket to the listed peer uids\n"
+      "drains gracefully; --loops runs N event-loop threads (loop 0 "
+      "accepts and hands connections round-robin), --allow-uid "
+      "restricts a unix socket to the listed peer uids\n"
       "  loadgen   --connect=ADDR [--clients=N] [--duration=SECONDS] "
       "[--requests=N] [--mix=compare:8,pairs:1,gi:1,render:2] [--seed=N] "
       "[--verbose]\n"

@@ -105,7 +105,7 @@ echo "PASS report"
 # Unknown flags exit 4 and name the offending flag, on every command.
 rc=0; out=$("$OPMAP" overview --cubes="$DIR/d.opmc" --bogus=1 2>&1) || rc=$?
 [ "$rc" -eq 4 ] || fail "unknown flag should exit 4 (got $rc)"
-echo "$out" | grep -q -- "--bogus" || fail "unknown-flag error should name it"
+grep -q -- "--bogus" <<<"$out" || fail "unknown-flag error should name it"
 rc=0; "$OPMAP" generate --records=10 --out="$DIR/x.opmd" --nope=1 \
     >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 4 ] || fail "generate unknown flag should exit 4 (got $rc)"
@@ -129,7 +129,7 @@ OPMAP_KERNEL=reference "$OPMAP" cubes --data="$DIR/d.opmd" \
 cmp -s "$DIR/d.opmc" "$DIR/kenv.opmc" || fail "OPMAP_KERNEL store differs"
 rc=0; out=$("$OPMAP" mine --data="$DIR/d.opmd" --kernel=fast 2>&1) || rc=$?
 [ "$rc" -eq 4 ] || fail "mine bad --kernel value should exit 4 (got $rc)"
-echo "$out" | grep -q "fast" || fail "bad-kernel error should name the value"
+grep -q "fast" <<<"$out" || fail "bad-kernel error should name the value"
 rc=0; "$OPMAP" cubes --data="$DIR/d.opmd" --out="$DIR/x.opmc" \
     --kernel=warp9 >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 4 ] || fail "cubes bad --kernel value should exit 4 (got $rc)"
@@ -202,7 +202,7 @@ echo "PASS observability"
 # identical rule list.
 m0=$("$OPMAP" mine --data="$DIR/d.opmd" --min-support=0.001 --top=5) \
     || fail "mine"
-echo "$m0" | grep -q "mined " || fail "mine summary line"
+grep -q "mined " <<<"$m0" || fail "mine summary line"
 m7=$("$OPMAP" mine --data="$DIR/d.opmd" --min-support=0.001 --top=5 \
     --block-rows=7) || fail "mine --block-rows"
 [ "$m0" = "$m7" ] || fail "mine --block-rows=7 changed the rules"
@@ -215,7 +215,7 @@ echo "PASS serving"
 out=$("$OPMAP" ingest --dir="$DIR/ing" --csv="$DIR/t.csv" --class=result \
     --batch-rows=3 --compact-every=2 --verbose 2>"$DIR/ing.stats") \
     || fail "ingest fresh"
-echo "$out" | grep -q "ingested 8 rows in 3 batches" || fail "ingest summary"
+grep -q "ingested 8 rows in 3 batches" <<<"$out" || fail "ingest summary"
 [ -f "$DIR/ing/MANIFEST" ] || fail "ingest manifest missing"
 grep -q "wal: next_seq=" "$DIR/ing.stats" || fail "ingest verbose wal line"
 grep -q "compaction: generation=" "$DIR/ing.stats" \
@@ -226,18 +226,18 @@ grep -q "torn_tail=clean" "$DIR/ing.stats" || fail "ingest clean tail"
 # re-encoded against the stored dictionaries; the WAL tail is replayed.
 out=$("$OPMAP" ingest --dir="$DIR/ing" --csv="$DIR/t.csv" --verbose \
     2>"$DIR/ing2.stats") || fail "ingest reopen"
-echo "$out" | grep -q "seq 4..4" || fail "ingest reopen continues sequence"
+grep -q "seq 4..4" <<<"$out" || fail "ingest reopen continues sequence"
 grep -q "replayed_records=1" "$DIR/ing2.stats" || fail "ingest replay count"
 
 # Flag validation: unknown flags and bad values exit 4 naming the problem.
 rc=0; out=$("$OPMAP" ingest --dir="$DIR/ing" --csv="$DIR/t.csv" \
     --bogus=1 2>&1) || rc=$?
 [ "$rc" -eq 4 ] || fail "ingest unknown flag should exit 4 (got $rc)"
-echo "$out" | grep -q -- "--bogus" || fail "ingest unknown-flag should name it"
+grep -q -- "--bogus" <<<"$out" || fail "ingest unknown-flag should name it"
 rc=0; out=$("$OPMAP" ingest --dir="$DIR/ing" --csv="$DIR/t.csv" \
     --fsync=sometimes 2>&1) || rc=$?
 [ "$rc" -eq 4 ] || fail "ingest --fsync=sometimes should exit 4 (got $rc)"
-echo "$out" | grep -q "sometimes" || fail "ingest bad fsync should name value"
+grep -q "sometimes" <<<"$out" || fail "ingest bad fsync should name value"
 rc=0; "$OPMAP" ingest --dir="$DIR/ing" --csv="$DIR/t.csv" --batch-rows=0 \
     >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 4 ] || fail "ingest --batch-rows=0 should exit 4 (got $rc)"
@@ -260,9 +260,9 @@ grep -q "opmapd listening on unix:$DIR/opmapd.sock" "$DIR/serve.out" \
 
 out=$("$OPMAP" loadgen --connect="unix:$DIR/opmapd.sock" --clients=2 \
     --requests=200 --duration=30) || fail "loadgen"
-echo "$out" | grep -qE "loadgen: [0-9]+ ok, [0-9]+ error, [0-9]+ shed" \
+grep -qE "loadgen: [0-9]+ ok, [0-9]+ error, [0-9]+ shed" <<<"$out" \
     || fail "loadgen summary line"
-echo "$out" | grep -qE "^compare +[0-9]+ +[0-9]+" \
+grep -qE "^compare +[0-9]+ +[0-9]+" <<<"$out" \
     || fail "loadgen per-op latency table"
 
 # Graceful drain: SIGTERM answers in-flight work, flushes and exits 0.
@@ -282,7 +282,7 @@ rc=0; "$OPMAP" loadgen --connect="unix:$DIR/nope.sock" --duration=0.2 \
 rc=0; out=$("$OPMAP" loadgen --connect="unix:$DIR/nope.sock" --sweep=1 \
     2>&1) || rc=$?
 [ "$rc" -eq 4 ] || fail "loadgen --sweep should exit 4 (got $rc)"
-echo "$out" | grep -q -- "--sweep" || fail "loadgen --sweep should name it"
+grep -q -- "--sweep" <<<"$out" || fail "loadgen --sweep should name it"
 echo "PASS serve"
 
 # ---- multi-loop daemon ----
@@ -301,7 +301,7 @@ grep -q "2 loops" "$DIR/serve2.err" || fail "serve2 verbose loop count"
 
 out=$("$OPMAP" loadgen --connect="$ADDR" --clients=2 --requests=100 \
     --duration=30 --mix=ping:1) || fail "loadgen over 2-loop TCP"
-echo "$out" | grep -qE "^ping +[0-9]+ +[0-9]+" \
+grep -qE "^ping +[0-9]+ +[0-9]+" <<<"$out" \
     || fail "loadgen over 2-loop TCP per-op table"
 
 kill -TERM "$SERVE2_PID"
@@ -327,7 +327,7 @@ grep -q "opmapd listening" "$DIR/serve3.out" \
 
 out=$("$OPMAP" ingest --dir="$DIR/ing" --csv="$DIR/t.csv" \
     --notify="unix:$DIR/opmapd2.sock") || fail "ingest --notify"
-echo "$out" | grep -q "notified unix:$DIR/opmapd2.sock" \
+grep -q "notified unix:$DIR/opmapd2.sock" <<<"$out" \
     || fail "ingest --notify confirmation line"
 grep -q "opmapd: reloaded $DIR/ing/cubes-" "$DIR/serve3.err" \
     || fail "daemon did not log the notified reload"

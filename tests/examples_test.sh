@@ -13,28 +13,28 @@ EXPLORER="$4"
 fail() { echo "FAIL: $1" >&2; exit 1; }
 
 out="$("$QUICKSTART")"
-echo "$out" | grep -q "Ranked distinguishing attributes" \
+grep -q "Ranked distinguishing attributes" <<<"$out" \
     || fail "quickstart report"
-echo "$out" | grep -q "TimeOfCall" || fail "quickstart finds TimeOfCall"
-echo "$out" | grep -q "morning" || fail "quickstart morning breakdown"
+grep -q "TimeOfCall" <<<"$out" || fail "quickstart finds TimeOfCall"
+grep -q "morning" <<<"$out" || fail "quickstart morning breakdown"
 
 out="$("$CALL_LOG" --records=30000 --attributes=12)"
-echo "$out" | grep -q "Overall visualization" || fail "call_log overview"
-echo "$out" | grep -q "Most influential attributes" || fail "call_log GI"
-echo "$out" | grep -q "Restricted mining under" || fail "call_log drilldown"
-echo "$out" | grep -q "#1  TimeOfCall" || fail "call_log planted cause"
+grep -q "Overall visualization" <<<"$out" || fail "call_log overview"
+grep -q "Most influential attributes" <<<"$out" || fail "call_log GI"
+grep -q "Restricted mining under" <<<"$out" || fail "call_log drilldown"
+grep -q "#1  TimeOfCall" <<<"$out" || fail "call_log planted cause"
 
 out="$("$MANUFACTURING" --rows=20000)"
-echo "$out" | grep -q "OvenTempC" || fail "manufacturing cause"
-echo "$out" | grep -q "PROPERTY ATTRIBUTE\|property" \
+grep -q "OvenTempC" <<<"$out" || fail "manufacturing cause"
+grep -q "PROPERTY ATTRIBUTE\|property" <<<"$out" \
     || fail "manufacturing property attribute"
 
 out="$(printf 'open PhoneModel\ndrill TimeOfCall\nslice PhoneModel ph03\nback\ncompare PhoneModel ph01 ph03 dropped-while-in-progress\nview TimeOfCall\nbogus\nquit\n' \
     | "$EXPLORER" --records=20000 --attributes=10)"
-echo "$out" | grep -q "view: PhoneModel > drill TimeOfCall" \
+grep -q "view: PhoneModel > drill TimeOfCall" <<<"$out" \
     || fail "explorer olap path"
-echo "$out" | grep -q "Ranked distinguishing attributes" \
+grep -q "Ranked distinguishing attributes" <<<"$out" \
     || fail "explorer compare"
-echo "$out" | grep -q "unknown command 'bogus'" || fail "explorer errors"
+grep -q "unknown command 'bogus'" <<<"$out" || fail "explorer errors"
 
 echo "PASS"

@@ -636,8 +636,8 @@ TEST(ServerLifecycle, DisconnectDuringExecutionAndDrainAreClean) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-loop sharding (acceptance criterion: byte-identical for any
-// --loops, over both transports)
+// Multiple loops (acceptance criterion: byte-identical for any --loops,
+// over both transports)
 // ---------------------------------------------------------------------------
 
 TEST(ServerMultiLoop, ByteIdenticalAcrossLoopCountsAndTransports) {
@@ -685,12 +685,9 @@ TEST(ServerMultiLoop, ByteIdenticalAcrossLoopCountsAndTransports) {
       auto ts = TestServer::Start(options);
       ASSERT_NE(ts, nullptr);
       EXPECT_EQ(ts->server()->loops(), loops);
-      // TCP shards the listener per loop via SO_REUSEPORT (this suite
-      // runs on Linux); unix sockets accept on loop 0 and hand off.
-      EXPECT_EQ(ts->server()->sharded_listeners(), tcp);
 
-      // More clients than loops, so in hand-off mode every loop serves
-      // at least one connection.
+      // More clients than loops, so with loop 0 dealing connections
+      // round-robin every loop serves at least one.
       constexpr int kClients = 4;
       std::vector<std::string> failures(kClients);
       std::vector<std::thread> threads;
@@ -840,10 +837,9 @@ TEST(ServerReloadRace, ConcurrentReloadsAndComparesStayConsistent) {
     compare_expected = reply.body;
   }
 
-  // Blocking compare hammers never pipeline past depth 1, so the reload
-  // barrier may park them but must never shed them — every compare comes
-  // back OK with the same bytes (reloads re-read the same file).
-  std::atomic<int> successful_reloads{0};
+  // Reloads pin nothing and shed nothing: every compare comes back OK
+  // with the same bytes (reloads re-read the same file), and every one of
+  // the concurrent reloads succeeds, queued behind the others.
   constexpr int kComparers = 3;
   constexpr int kReloaders = 2;
   std::vector<std::string> failures(kComparers + kReloaders);
@@ -879,13 +875,7 @@ TEST(ServerReloadRace, ConcurrentReloadsAndComparesStayConsistent) {
       for (int i = 0; i < 5; ++i) {
         auto reply = client->Reload(ReloadRequest{});
         if (!reply.ok()) return fail(reply.status().ToString());
-        if (reply->ok()) {
-          successful_reloads.fetch_add(1);
-        } else if (reply->status != RespStatus::kRetryLater) {
-          // Losing the claim race sheds with RETRY_LATER; anything else
-          // is a real failure.
-          return fail(reply->ErrorText());
-        }
+        if (!reply->ok()) return fail(reply->ErrorText());
       }
     });
   }
@@ -894,17 +884,223 @@ TEST(ServerReloadRace, ConcurrentReloadsAndComparesStayConsistent) {
     EXPECT_EQ(failures[i], "") << "thread " << i;
   }
 
-  EXPECT_GE(successful_reloads.load(), 1);
   ASSERT_OK_AND_ASSIGN(auto client, Client::Connect(ts->address()));
   ASSERT_OK_AND_ASSIGN(Reply schema_reply, client->Call(Op::kSchema));
   ASSERT_TRUE(schema_reply.ok()) << schema_reply.ErrorText();
   ASSERT_OK_AND_ASSIGN(server::SchemaInfo schema,
                        server::DecodeSchemaInfo(schema_reply.body));
-  EXPECT_EQ(schema.store_generation,
-            1u + static_cast<uint64_t>(successful_reloads.load()));
+  EXPECT_EQ(schema.store_generation, 1u + kReloaders * 5);
   ts->Stop();
-  EXPECT_EQ(ts->stats().reloads, successful_reloads.load());
+  EXPECT_EQ(ts->stats().reloads, kReloaders * 5);
   EXPECT_EQ(ts->stats().reload_failures, 0);
+  EXPECT_EQ(ts->stats().shed_retry_later, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Reload under pipelined load: properties over seeded schedules
+// ---------------------------------------------------------------------------
+
+// One client reloads two containers with different counts, alternately,
+// while three others pipeline SCHEMA/COMPARE bursts. For every seed:
+//  - the generation one connection sees never decreases;
+//  - every compare body is one container's oracle bytes (never an error or
+//    a shed), and between two schema replies naming the same generation it
+//    is the bytes of that generation's file;
+//  - on the reloader's connection, the frames pipelined behind a reload
+//    see the generation its reply names and that file's bytes.
+TEST(ServerReloadProperty, GenerationsAreMonotoneAndBodiesMatchTheirFile) {
+  const std::string paths[2] = {WriteCubes("srv_prop_a.opmc", 3000),
+                                WriteCubes("srv_prop_b.opmc", 2000)};
+  const int64_t records[2] = {3000, 2000};
+  // The daemon starts on A as generation 1 and the reloader alternates
+  // B, A, B, ...: odd generations serve A, even ones B.
+  auto file_of = [](uint64_t generation) {
+    return generation % 2 == 1 ? 0 : 1;
+  };
+
+  CompareRequest cmp;
+  cmp.attribute = 0;
+  cmp.value_a = 0;
+  cmp.value_b = 1;
+  cmp.target_class = 0;
+  ComparisonSpec spec;
+  spec.attribute = cmp.attribute;
+  spec.value_a = cmp.value_a;
+  spec.value_b = cmp.value_b;
+  spec.target_class = cmp.target_class;
+  spec.min_population = cmp.min_population;
+  std::string compare_oracle[2];
+  for (int f = 0; f < 2; ++f) {
+    CubeLoadOptions eager;
+    eager.use_mmap = false;
+    ASSERT_OK_AND_ASSIGN(CubeStore store,
+                         CubeStore::LoadFromFile(paths[f], nullptr, eager));
+    QueryEngine engine(&store, /*cache_bytes=*/0);
+    ASSERT_OK_AND_ASSIGN(auto result, engine.Compare(spec));
+    compare_oracle[f] = server::EncodeComparisonResult(*result);
+  }
+  ASSERT_NE(compare_oracle[0], compare_oracle[1]);
+  const std::string schema_payload = EncodeRequest(Op::kSchema, "");
+  const std::string compare_payload =
+      EncodeRequest(Op::kCompare, server::EncodeCompareRequest(cmp));
+
+  for (const uint64_t seed : {0x5eed0001ull, 0x5eed0002ull, 0x5eed0003ull}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    server::ServerOptions options;
+    options.cubes_path = paths[0];
+    options.listen = SocketAddr("srv_prop_" + std::to_string(seed & 0xff) +
+                                ".sock");
+    options.loops = 1 + static_cast<int>(rng.Next() % 3);
+    options.workers = 2 + static_cast<int>(rng.Next() % 3);
+    auto ts = TestServer::Start(options);
+    ASSERT_NE(ts, nullptr);
+
+    constexpr int kReaders = 3;
+    constexpr int kReloads = 12;
+    std::atomic<bool> reloads_done{false};
+    std::vector<std::string> failures(kReaders + 1);
+    std::vector<std::thread> threads;
+    for (int r = 0; r < kReaders; ++r) {
+      threads.emplace_back([&, r, reader_seed = rng.Next()] {
+        auto fail = [&](const std::string& what) {
+          if (failures[r].empty()) failures[r] = what;
+        };
+        auto client_or = Client::Connect(ts->address());
+        if (!client_or.ok()) return fail(client_or.status().ToString());
+        std::unique_ptr<Client> client = std::move(client_or).MoveValue();
+        Rng local(reader_seed);
+        uint64_t last_generation = 0;      // of the latest schema reply
+        std::vector<std::string> since;    // compare bodies after it
+        uint64_t next_id = 1;
+        for (int burst = 0; burst < 4 || !reloads_done.load(); ++burst) {
+          const int depth = 2 + static_cast<int>(local.Next() % 9);
+          std::string frames;
+          std::vector<bool> is_schema;
+          for (int i = 0; i < depth; ++i) {
+            is_schema.push_back(local.Next() % 3 == 0);
+            frames += EncodeFrame(next_id + i, is_schema.back()
+                                                   ? schema_payload
+                                                   : compare_payload);
+          }
+          if (Status st = client->SendRaw(frames); !st.ok()) {
+            return fail(st.ToString());
+          }
+          for (int i = 0; i < depth; ++i) {
+            auto reply = client->ReadReply();
+            if (!reply.ok()) return fail(reply.status().ToString());
+            if (reply->request_id != next_id + i) {
+              return fail("reply out of request order");
+            }
+            if (!reply->ok()) return fail(reply->ErrorText());
+            if (!is_schema[static_cast<size_t>(i)]) {
+              if (reply->body != compare_oracle[0] &&
+                  reply->body != compare_oracle[1]) {
+                return fail("compare body matches neither container");
+              }
+              since.push_back(reply->body);
+              continue;
+            }
+            auto info = server::DecodeSchemaInfo(reply->body);
+            if (!info.ok()) return fail(info.status().ToString());
+            const uint64_t g = info->store_generation;
+            if (g < last_generation) {
+              return fail("generation went back from " +
+                          std::to_string(last_generation) + " to " +
+                          std::to_string(g));
+            }
+            if (info->num_records != records[file_of(g)]) {
+              return fail("schema of generation " + std::to_string(g) +
+                          " describes the wrong file");
+            }
+            if (g == last_generation) {
+              for (const std::string& body : since) {
+                if (body != compare_oracle[file_of(g)]) {
+                  return fail("compare between two schema replies of "
+                              "generation " + std::to_string(g) +
+                              " is not that file's bytes");
+                }
+              }
+            }
+            last_generation = g;
+            since.clear();
+          }
+          next_id += static_cast<uint64_t>(depth);
+        }
+      });
+    }
+    threads.emplace_back([&, pause_seed = rng.Next()] {
+      auto fail = [&](const std::string& what) {
+        if (failures[kReaders].empty()) failures[kReaders] = what;
+      };
+      auto reload_all = [&] {
+        auto client_or = Client::Connect(ts->address());
+        if (!client_or.ok()) return fail(client_or.status().ToString());
+        std::unique_ptr<Client> client = std::move(client_or).MoveValue();
+        Rng pauses(pause_seed);
+        uint64_t next_id = 1;
+        for (int i = 0; i < kReloads; ++i) {
+          const uint64_t generation = 2 + static_cast<uint64_t>(i);
+          const int file = file_of(generation);
+          ReloadRequest req;
+          req.path = paths[file];
+          // One write: the schema and compare behind the reload must wait
+          // for it and then see its snapshot.
+          const std::string frames =
+              EncodeFrame(next_id, EncodeRequest(Op::kReload,
+                                                 server::EncodeReloadRequest(
+                                                     req))) +
+              EncodeFrame(next_id + 1, schema_payload) +
+              EncodeFrame(next_id + 2, compare_payload);
+          next_id += 3;
+          if (Status st = client->SendRaw(frames); !st.ok()) {
+            return fail(st.ToString());
+          }
+          auto reloaded = client->ReadReply();
+          if (!reloaded.ok()) return fail(reloaded.status().ToString());
+          if (!reloaded->ok()) return fail(reloaded->ErrorText());
+          auto info = server::DecodeReloadInfo(reloaded->body);
+          if (!info.ok()) return fail(info.status().ToString());
+          if (info->store_generation != generation ||
+              info->num_records != records[file]) {
+            return fail("reload " + std::to_string(i) +
+                        " answered the wrong generation or file");
+          }
+          auto schema = client->ReadReply();
+          if (!schema.ok()) return fail(schema.status().ToString());
+          if (!schema->ok()) return fail(schema->ErrorText());
+          auto schema_info = server::DecodeSchemaInfo(schema->body);
+          if (!schema_info.ok()) return fail(schema_info.status().ToString());
+          if (schema_info->store_generation != generation ||
+              schema_info->num_records != records[file]) {
+            return fail("the request after reload " + std::to_string(i) +
+                        " did not see its snapshot");
+          }
+          auto compared = client->ReadReply();
+          if (!compared.ok()) return fail(compared.status().ToString());
+          if (!compared->ok()) return fail(compared->ErrorText());
+          if (compared->body != compare_oracle[file]) {
+            return fail("compare after reload " + std::to_string(i) +
+                        " is not that file's bytes");
+          }
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(pauses.Next() % 2000));
+        }
+      };
+      reload_all();
+      reloads_done.store(true);
+    });
+    for (std::thread& t : threads) t.join();
+    for (size_t i = 0; i < failures.size(); ++i) {
+      EXPECT_EQ(failures[i], "") << "thread " << i;
+    }
+    ts->Stop();
+    const server::ServerStats stats = ts->stats();
+    EXPECT_EQ(stats.reloads, kReloads);
+    EXPECT_EQ(stats.reload_failures, 0);
+    EXPECT_EQ(stats.shed_retry_later, 0);
+    EXPECT_EQ(stats.responses_error, 0);
+  }
 }
 
 // ---------------------------------------------------------------------------
