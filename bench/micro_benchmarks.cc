@@ -191,9 +191,9 @@ void BM_CubeStoreSaveLoad(benchmark::State& state) {
   Dataset d = MakeData(40, 20000);
   CubeStore store = bench::ValueOrDie(CubeBuilder::FromDataset(d), "build");
   for (auto _ : state) {
-    std::stringstream buf;
+    std::ostringstream buf;
     bench::CheckOk(store.Save(&buf), "save");
-    auto loaded = CubeStore::Load(&buf);
+    auto loaded = CubeStore::LoadFromBytes(buf.str());
     benchmark::DoNotOptimize(loaded->num_records());
   }
   state.SetBytesProcessed(state.iterations() * store.MemoryUsageBytes());
@@ -203,9 +203,9 @@ BENCHMARK(BM_CubeStoreSaveLoad);
 void BM_DatasetSaveLoad(benchmark::State& state) {
   Dataset d = MakeData(20, 20000);
   for (auto _ : state) {
-    std::stringstream buf;
+    std::ostringstream buf;
     bench::CheckOk(SaveDataset(d, &buf), "save");
-    auto loaded = LoadDataset(&buf);
+    auto loaded = LoadDatasetFromBytes(buf.str());
     benchmark::DoNotOptimize(loaded->num_rows());
   }
   state.SetBytesProcessed(state.iterations() * d.MemoryUsageBytes());

@@ -8,6 +8,7 @@
 #include <sys/stat.h>
 #endif
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -708,7 +709,7 @@ Status AtomicWriteFile(Env* env, const std::string& path,
 }
 
 // ---------------------------------------------------------------------------
-// Checksummed section container
+// Aligned section container
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -716,121 +717,12 @@ namespace {
 // Byte offset of the header CRC field: magic + version + section count.
 constexpr size_t kHeaderCrcOffset = 4 + 4 + 4;
 
+// Bytes of one AppendArraySections index entry: offset, count, CRC.
+constexpr uint64_t kArrayIndexEntrySize = 8 + 8 + 4;
+
 void PutU32At(std::string* s, size_t offset, uint32_t v) {
   std::memcpy(s->data() + offset, &v, sizeof(v));
 }
-
-}  // namespace
-
-std::string SerializeContainer(const char magic[4], uint32_t version,
-                               const std::vector<Section>& sections) {
-  std::ostringstream header;
-  header.write(magic, 4);
-  BinaryWriter w(&header);
-  w.WriteU32(version);
-  w.WriteU32(static_cast<uint32_t>(sections.size()));
-  w.WriteU32(0);  // header CRC placeholder, patched below
-  for (const Section& s : sections) {
-    w.WriteString(s.name);
-    w.WriteU64(s.payload.size());
-    w.WriteU64(s.record_count);
-    w.WriteU32(Crc32c(s.payload.data(), s.payload.size()));
-  }
-  std::string out = header.str();
-  PutU32At(&out, kHeaderCrcOffset, Crc32c(out.data(), out.size()));
-  for (const Section& s : sections) out += s.payload;
-  return out;
-}
-
-Result<std::vector<Section>> ParseContainer(const std::string& bytes,
-                                            const char magic[4],
-                                            uint32_t expected_version) {
-  std::istringstream in(bytes);
-  BinaryReader r(&in, /*limit=*/bytes.size());
-  OPMAP_RETURN_NOT_OK(r.ExpectMagic(magic));
-  OPMAP_ASSIGN_OR_RETURN(uint32_t version, r.ReadU32());
-  if (version != expected_version) {
-    return Status::IOError("unsupported container version " +
-                           std::to_string(version));
-  }
-  OPMAP_ASSIGN_OR_RETURN(uint32_t count, r.ReadU32());
-  if (count > (1u << 10)) {
-    return Status::IOError("container header corrupt: implausible section "
-                           "count " + std::to_string(count));
-  }
-  OPMAP_ASSIGN_OR_RETURN(uint32_t stored_header_crc, r.ReadU32());
-
-  struct Entry {
-    std::string name;
-    uint64_t size;
-    uint64_t record_count;
-    uint32_t crc;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    Entry e;
-    OPMAP_ASSIGN_OR_RETURN(e.name, r.ReadString());
-    OPMAP_ASSIGN_OR_RETURN(e.size, r.ReadU64());
-    OPMAP_ASSIGN_OR_RETURN(e.record_count, r.ReadU64());
-    OPMAP_ASSIGN_OR_RETURN(e.crc, r.ReadU32());
-    entries.push_back(std::move(e));
-  }
-
-  // Verify the header before trusting any size it declares.
-  const auto header_end = static_cast<size_t>(in.tellg());
-  std::string header(bytes, 0, header_end);
-  PutU32At(&header, kHeaderCrcOffset, 0);
-  IoCrcVerified()->Increment();
-  if (Crc32c(header.data(), header.size()) != stored_header_crc) {
-    return Status::IOError("container header CRC mismatch (the section "
-                           "table is corrupt)");
-  }
-
-  std::vector<Section> sections;
-  sections.reserve(entries.size());
-  size_t offset = header_end;
-  for (const Entry& e : entries) {
-    if (e.size > bytes.size() - offset) {
-      return Status::IOError("section '" + e.name + "' truncated: header "
-                             "declares " + std::to_string(e.size) +
-                             " bytes, " +
-                             std::to_string(bytes.size() - offset) +
-                             " remain");
-    }
-    Section s;
-    s.name = e.name;
-    s.record_count = e.record_count;
-    s.payload.assign(bytes, offset, static_cast<size_t>(e.size));
-    offset += static_cast<size_t>(e.size);
-    IoCrcVerified()->Increment();
-    if (Crc32c(s.payload.data(), s.payload.size()) != e.crc) {
-      return Status::IOError("section '" + e.name + "' CRC mismatch: the "
-                             "file is corrupt");
-    }
-    sections.push_back(std::move(s));
-  }
-  if (offset != bytes.size()) {
-    return Status::IOError("container has " +
-                           std::to_string(bytes.size() - offset) +
-                           " trailing bytes after the last section");
-  }
-  return sections;
-}
-
-Result<const Section*> FindSection(const std::vector<Section>& sections,
-                                   const std::string& name) {
-  for (const Section& s : sections) {
-    if (s.name == name) return &s;
-  }
-  return Status::IOError("container is missing the '" + name + "' section");
-}
-
-// ---------------------------------------------------------------------------
-// Aligned section container (v3)
-// ---------------------------------------------------------------------------
-
-namespace {
 
 size_t AlignUpToPayload(size_t n) {
   return (n + kAlignedPayloadAlignment - 1) & ~(kAlignedPayloadAlignment - 1);
@@ -917,6 +809,7 @@ std::string SerializeAlignedContainer(const char magic[4], uint32_t version,
   }
   std::string out = header.str();
   PutU32At(&out, kHeaderCrcOffset, Crc32c(out.data(), out.size()));
+  out.reserve(cursor);
   for (size_t i = 0; i < sections.size(); ++i) {
     out.resize(static_cast<size_t>(offsets[i]), '\0');  // alignment padding
     out += sections[i].payload;
@@ -935,8 +828,10 @@ Result<std::vector<AlignedSection>> ParseAlignedContainer(
   }
   OPMAP_ASSIGN_OR_RETURN(uint32_t version, cur.ReadU32());
   if (version != expected_version) {
-    return Status::IOError("unsupported container version " +
-                           std::to_string(version));
+    return Status::IOError(
+        "format version " + std::to_string(version) +
+        " is not supported: this build reads version " +
+        std::to_string(expected_version) + " only (see docs/FORMATS.md)");
   }
   OPMAP_ASSIGN_OR_RETURN(uint32_t count, cur.ReadU32());
   if (count > (1u << 10)) {
@@ -994,6 +889,37 @@ Result<std::vector<AlignedSection>> ParseAlignedContainer(
   return sections;
 }
 
+Result<std::vector<AlignedSection>> ParseAndVerifyAlignedContainer(
+    const char* data, size_t size, const char magic[4],
+    uint32_t expected_version) {
+  size_t header_size = 0;
+  OPMAP_ASSIGN_OR_RETURN(std::vector<AlignedSection> sections,
+                         ParseAlignedContainer(data, size, magic,
+                                               expected_version, &header_size));
+  for (const AlignedSection& s : sections) {
+    OPMAP_RETURN_NOT_OK(VerifyAlignedPayload(data, s));
+  }
+  // Padding between the table and the payloads is outside every CRC; it
+  // must be all zeros or the file was tampered with.
+  std::vector<std::pair<uint64_t, uint64_t>> covered;
+  covered.emplace_back(0, header_size);
+  for (const AlignedSection& s : sections) {
+    covered.emplace_back(s.offset, s.offset + s.size);
+  }
+  std::sort(covered.begin(), covered.end());
+  uint64_t pos = 0;
+  for (const auto& [begin, end] : covered) {
+    for (uint64_t i = pos; i < begin; ++i) {
+      if (data[i] != '\0') {
+        return Status::IOError("container padding byte " + std::to_string(i) +
+                               " is nonzero: the file is corrupt");
+      }
+    }
+    if (end > pos) pos = end;
+  }
+  return sections;
+}
+
 Status VerifyAlignedPayload(const char* data, const AlignedSection& section) {
   IoCrcVerified()->Increment();
   if (Crc32c(data + section.offset, static_cast<size_t>(section.size)) !=
@@ -1010,6 +936,66 @@ Result<const AlignedSection*> FindAlignedSection(
     if (s.name == name) return &s;
   }
   return Status::IOError("container is missing the '" + name + "' section");
+}
+
+void AppendArraySections(const std::string& index_name,
+                         const std::string& data_name,
+                         const std::vector<ArrayRef>& arrays,
+                         std::vector<Section>* sections) {
+  std::ostringstream index_out;
+  BinaryWriter w(&index_out);
+  std::string data;
+  for (const ArrayRef& a : arrays) {
+    data.resize(AlignUpToPayload(data.size()), '\0');
+    const size_t nbytes = static_cast<size_t>(a.count) * a.elem_size;
+    w.WriteU64(data.size());  // offset relative to the data section
+    w.WriteU64(a.count);
+    w.WriteU32(Crc32c(a.data, nbytes));
+    data.append(static_cast<const char*>(a.data), nbytes);
+  }
+  sections->push_back(Section{index_name, arrays.size(), index_out.str()});
+  sections->push_back(Section{data_name, arrays.size(), std::move(data)});
+}
+
+Result<std::vector<AlignedArray>> ParseArraySections(
+    const char* data, const std::vector<AlignedSection>& sections,
+    const std::string& index_name, const std::string& data_name,
+    const std::vector<size_t>& elem_sizes) {
+  OPMAP_ASSIGN_OR_RETURN(const AlignedSection* index_sec,
+                         FindAlignedSection(sections, index_name));
+  OPMAP_ASSIGN_OR_RETURN(const AlignedSection* data_sec,
+                         FindAlignedSection(sections, data_name));
+  const uint64_t n = elem_sizes.size();
+  if (index_sec->record_count != n || data_sec->record_count != n ||
+      index_sec->size != n * kArrayIndexEntrySize) {
+    return Status::IOError("section '" + index_name + "' holds " +
+                           std::to_string(index_sec->record_count) +
+                           " entries, the schema implies " +
+                           std::to_string(n));
+  }
+  // The size check above makes every fixed-width read below in bounds.
+  const char* entry = data + index_sec->offset;
+  std::vector<AlignedArray> arrays(static_cast<size_t>(n));
+  for (size_t i = 0; i < arrays.size(); ++i, entry += kArrayIndexEntrySize) {
+    AlignedArray& a = arrays[i];
+    uint64_t rel_offset = 0;
+    std::memcpy(&rel_offset, entry, 8);
+    std::memcpy(&a.count, entry + 8, 8);
+    std::memcpy(&a.crc, entry + 16, 4);
+    if (rel_offset % kAlignedPayloadAlignment != 0) {
+      return Status::IOError("section '" + index_name + "' entry " +
+                             std::to_string(i) + ": array offset is not "
+                             "aligned");
+    }
+    if (a.count > data_sec->size / elem_sizes[i] ||
+        rel_offset > data_sec->size - a.count * elem_sizes[i]) {
+      return Status::IOError("section '" + index_name + "' entry " +
+                             std::to_string(i) + ": array exceeds the '" +
+                             data_name + "' section");
+    }
+    a.offset = data_sec->offset + rel_offset;
+  }
+  return arrays;
 }
 
 }  // namespace opmap

@@ -11,10 +11,10 @@
 
 namespace opmap {
 
-/// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected). Used by the v2
-/// container format to detect bit rot in persisted cube stores and dataset
-/// snapshots. Software table-driven implementation; `crc` chains calls so
-/// large payloads can be checksummed incrementally.
+/// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected). Used by the
+/// aligned section container to detect bit rot in cube stores, datasets
+/// and the ingest manifest. Software table-driven implementation; `crc`
+/// chains calls so large payloads can be checksummed incrementally.
 uint32_t Crc32c(const void* data, size_t n, uint32_t crc = 0);
 
 // ---------------------------------------------------------------------------
@@ -276,55 +276,28 @@ Status AtomicWriteFile(Env* env, const std::string& path,
                        const RetryPolicy& policy = RetryPolicy{});
 
 // ---------------------------------------------------------------------------
-// Checksummed section container (on-disk format v2)
+// Aligned section container: the one container of every opmap file
 // ---------------------------------------------------------------------------
 
-/// One named, independently checksummed region of a container file.
+/// Every payload starts on a multiple of this file offset, so a payload
+/// holding little-endian int64 counts can be read in place from a mapping.
+constexpr size_t kAlignedPayloadAlignment = 64;
+
+/// One named, independently checksummed region of a container, as handed
+/// to the writer.
 struct Section {
-  /// Short ASCII name ("schema", "attr_cubes"); named in corruption errors.
+  /// Short ASCII name ("schema", "cube_index"); named in corruption errors.
   std::string name;
-  /// Advisory element count (rows, cubes) surfaced in the header so `info`
-  /// style tooling can report sizes without parsing payloads.
+  /// Advisory element count (attributes, cubes) surfaced in the header so
+  /// `info` style tooling can report sizes without parsing payloads.
   uint64_t record_count = 0;
   std::string payload;
 };
 
-/// Serializes a v2 container:
-///
-///   magic[4] | version u32 | section_count u32 | header_crc u32 |
-///   per section: name string, payload_size u64, record_count u64,
-///                payload_crc u32 | payloads back to back
-///
-/// `header_crc` covers magic through the section table (with its own field
-/// zeroed), each `payload_crc` covers one payload, so any flipped bit is
-/// attributable to a named part of the file.
-std::string SerializeContainer(const char magic[4], uint32_t version,
-                               const std::vector<Section>& sections);
-
-/// Parses and fully verifies a v2 container. Errors name the corrupt part:
-/// "container header CRC mismatch", "section 'schema' CRC mismatch",
-/// "section 'attr_cubes' truncated". `expected_version` is the only version
-/// accepted (callers dispatch v1 before calling this).
-Result<std::vector<Section>> ParseContainer(const std::string& bytes,
-                                            const char magic[4],
-                                            uint32_t expected_version);
-
-/// Returns the section named `name` or a kNotFound error naming it.
-Result<const Section*> FindSection(const std::vector<Section>& sections,
-                                   const std::string& name);
-
-// ---------------------------------------------------------------------------
-// Aligned section container (on-disk format v3)
-// ---------------------------------------------------------------------------
-
-/// Every v3 payload starts on a multiple of this file offset, so a payload
-/// holding little-endian int64 counts can be read in place from a mapping.
-constexpr size_t kAlignedPayloadAlignment = 64;
-
-/// One section of an aligned container, described by the (verified) header.
+/// One section of a parsed container, described by the (verified) header.
 /// Unlike `Section` this holds no payload copy — `offset`/`size` locate the
-/// bytes inside the mapped file, and `crc` lets callers verify a payload
-/// lazily, on first use, via VerifyAlignedPayload.
+/// bytes inside the file, and `crc` lets callers verify a payload lazily,
+/// on first use, via VerifyAlignedPayload.
 struct AlignedSection {
   std::string name;
   uint64_t record_count = 0;
@@ -336,31 +309,36 @@ struct AlignedSection {
   uint32_t crc = 0;
 };
 
-/// Serializes a v3 aligned container:
+/// Serializes an aligned container:
 ///
 ///   magic[4] | version u32 | section_count u32 | header_crc u32 |
 ///   per section: name string, payload_size u64, record_count u64,
 ///                payload_crc u32, payload_offset u64 |
 ///   zero padding | payloads, each starting at its 64-byte-aligned offset
 ///
-/// Field encodings match the v2 container (little-endian, length-prefixed
-/// names); the additions are the explicit per-section `payload_offset` and
-/// the alignment padding between the table and the payloads (and between
-/// payloads). `header_crc` covers magic through the section table with its
-/// own field zeroed, exactly as in v2.
+/// Little-endian, length-prefixed names. `header_crc` covers magic through
+/// the section table with its own field zeroed; each `payload_crc` covers
+/// one payload, so any flipped bit is attributable to a named part of the
+/// file. `version` is the file family's own format version.
 std::string SerializeAlignedContainer(const char magic[4], uint32_t version,
                                       const std::vector<Section>& sections);
 
-/// Parses a v3 aligned container header from an in-memory (typically
-/// mapped) file. Verifies the magic, version, header CRC, and that every
-/// declared payload range is aligned and inside `size` — but does NOT touch
-/// payload bytes: callers verify each payload lazily with
-/// VerifyAlignedPayload before first use. `header_size`, when non-null,
-/// receives the byte length of the header + section table (eager loaders
-/// use it to check that alignment padding is all zeros).
+/// Parses a container header from an in-memory (typically mapped) file.
+/// Verifies the magic, version, header CRC, and that every declared
+/// payload range is aligned and inside `size` — but does NOT touch payload
+/// bytes: callers verify each payload lazily with VerifyAlignedPayload
+/// before first use. A file of another version fails with an error naming
+/// that version. `header_size`, when non-null, receives the byte length of
+/// the header + section table.
 Result<std::vector<AlignedSection>> ParseAlignedContainer(
     const char* data, size_t size, const char magic[4],
     uint32_t expected_version, size_t* header_size = nullptr);
+
+/// The eager readers' parse: ParseAlignedContainer plus every payload CRC
+/// and a check that all padding is zero, so any single-bit flip fails.
+Result<std::vector<AlignedSection>> ParseAndVerifyAlignedContainer(
+    const char* data, size_t size, const char magic[4],
+    uint32_t expected_version);
 
 /// CRC-checks one payload of an aligned container against its header entry.
 /// `data` is the start of the container (the same pointer handed to
@@ -370,6 +348,39 @@ Status VerifyAlignedPayload(const char* data, const AlignedSection& section);
 /// Returns the aligned section named `name` or a kIOError naming it.
 Result<const AlignedSection*> FindAlignedSection(
     const std::vector<AlignedSection>& sections, const std::string& name);
+
+/// One raw little-endian array handed to AppendArraySections.
+struct ArrayRef {
+  const void* data = nullptr;
+  uint64_t count = 0;  // elements
+  size_t elem_size = 0;
+};
+
+/// One array located by ParseArraySections: absolute 64-byte-aligned file
+/// offset, element count, and the CRC32C of its bytes.
+struct AlignedArray {
+  uint64_t offset = 0;
+  uint64_t count = 0;
+  uint32_t crc = 0;
+};
+
+/// Appends an index + data section pair holding `arrays` (cube counts,
+/// dataset columns): `index_name` has one entry per array (offset into the
+/// data section u64, element count u64, CRC32C u32), and `data_name` holds
+/// the arrays, each padded to a 64-byte offset. Both record counts are the
+/// number of arrays.
+void AppendArraySections(const std::string& index_name,
+                         const std::string& data_name,
+                         const std::vector<ArrayRef>& arrays,
+                         std::vector<Section>* sections);
+
+/// Parses an index written by AppendArraySections (its payload already
+/// CRC-verified): one array per `elem_sizes` entry, each checked to be
+/// aligned and inside the data section. Array bytes are not touched.
+Result<std::vector<AlignedArray>> ParseArraySections(
+    const char* data, const std::vector<AlignedSection>& sections,
+    const std::string& index_name, const std::string& data_name,
+    const std::vector<size_t>& elem_sizes);
 
 }  // namespace opmap
 

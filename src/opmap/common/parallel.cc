@@ -279,7 +279,15 @@ void ThreadPool::Run(int num_tasks, const std::function<void(int)>& task) {
       }
     }
   }
-  if (job->exception) std::rethrow_exception(job->exception);
+  // Take the exception out of the job under its lock: a worker may still
+  // hold the last reference to the job, and its late drop must not
+  // destroy an exception this thread is rethrowing.
+  std::exception_ptr exception;
+  {
+    std::lock_guard<std::mutex> lock(job->mu);
+    exception = std::move(job->exception);
+  }
+  if (exception) std::rethrow_exception(exception);
 }
 
 void ThreadPool::Post(std::function<void()> task) {

@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <mutex>
@@ -16,19 +15,14 @@ namespace opmap {
 namespace {
 
 constexpr char kCubeMagic[4] = {'O', 'P', 'M', 'C'};
-constexpr uint32_t kCubeVersionV1 = 1;
-constexpr uint32_t kCubeVersionV2 = 2;
-constexpr uint32_t kCubeVersionV3 = 3;
+constexpr uint32_t kCubeVersion = 3;
 
-// Container section names; corruption errors cite these. v2 stores schema,
-// meta and the length-prefixed cube payloads; v3 keeps schema/meta and
-// replaces the cube sections with a per-cube CRC index plus one blob of
-// 64-byte-aligned raw count arrays that can be served straight from a file
-// mapping (docs/FORMATS.md).
+// Container section names; corruption errors cite these. The cube counts
+// are an index + data pair (AppendArraySections): a per-cube CRC index plus
+// one blob of 64-byte-aligned raw count arrays that can be served straight
+// from a file mapping (docs/FORMATS.md).
 constexpr char kSectionSchema[] = "schema";
 constexpr char kSectionMeta[] = "meta";
-constexpr char kSectionAttrCubes[] = "attr_cubes";
-constexpr char kSectionPairCubes[] = "pair_cubes";
 constexpr char kSectionCubeIndex[] = "cube_index";
 constexpr char kSectionCubeData[] = "cube_data";
 
@@ -40,42 +34,13 @@ Status InSection(const char* section, Status st) {
                 "section '" + std::string(section) + "': " + st.message());
 }
 
-// Serializes one cube's count array (v1/v2 encoding). Shape is implied by
-// the store's schema plus the cube's attribute list, so only counts are
-// stored.
-void WriteCubeCounts(const RuleCube& cube, BinaryWriter* w) {
-  w->WriteU64(static_cast<uint64_t>(cube.num_cells()));
-  for (int64_t i = 0; i < cube.num_cells(); ++i) {
-    w->WriteI64(cube.raw_counts()[i]);
-  }
-}
-
-Status ReadCubeCounts(BinaryReader* r, RuleCube* cube) {
-  OPMAP_ASSIGN_OR_RETURN(uint64_t cells, r->ReadU64());
-  if (cells != static_cast<uint64_t>(cube->num_cells())) {
-    return Status::IOError("cube cell count mismatch (file does not match "
-                           "schema)");
-  }
-  for (uint64_t i = 0; i < cells; ++i) {
-    OPMAP_ASSIGN_OR_RETURN(int64_t v, r->ReadI64());
-    if (v < 0) return Status::IOError("negative cube count");
-    cube->raw_counts()[i] = v;
-  }
-  return Status::OK();
-}
-
-void AppendAlignmentPadding(std::string* s) {
-  const size_t rem = s->size() % kAlignedPayloadAlignment;
-  if (rem != 0) s->append(kAlignedPayloadAlignment - rem, '\0');
-}
-
 std::string PayloadString(const char* data, const AlignedSection& s) {
   return std::string(data + s.offset, static_cast<size_t>(s.size));
 }
 
 }  // namespace
 
-// Lazy v3 serving state: the mapping plus one first-touch verification slot
+// Lazy serving state: the mapping plus one first-touch verification slot
 // per cube. `state` is 0 until the cube's payload CRC has been checked,
 // then 1 (ok) or 2 (corrupt) forever; the mutex serializes the check itself
 // so concurrent queries CRC each payload at most once.
@@ -97,10 +62,9 @@ CubeStore::~CubeStore() = default;
 CubeStore::CubeStore(CubeStore&&) noexcept = default;
 CubeStore& CubeStore::operator=(CubeStore&&) noexcept = default;
 
-// Reads the store body that follows the schema in both versions: the
-// attribute list, pair flag, record count, class counts and cube counts.
-// v1 lays these fields out back to back after the schema; v2/v3 split them
-// into the "meta" and cube sections but keep the field encoding.
+// Reads the "meta" section: the attribute list, pair flag, record count
+// and class counts. With `build_cubes` false it leaves the cube vectors
+// empty (the caller builds views instead).
 Status CubeStore::ReadMeta(BinaryReader* r, Schema schema, CubeStore* out,
                            bool build_cubes) {
   OPMAP_ASSIGN_OR_RETURN(uint64_t attr_count, r->ReadU64());
@@ -131,82 +95,16 @@ Status CubeStore::ReadMeta(BinaryReader* r, Schema schema, CubeStore* out,
   return Status::OK();
 }
 
-Result<CubeStore> CubeStore::LoadV2(const std::string& bytes) {
-  OPMAP_ASSIGN_OR_RETURN(std::vector<Section> sections,
-                         ParseContainer(bytes, kCubeMagic, kCubeVersionV2));
-
-  OPMAP_ASSIGN_OR_RETURN(const Section* schema_sec,
-                         FindSection(sections, kSectionSchema));
-  std::istringstream schema_in(schema_sec->payload);
-  Result<Schema> schema = ReadSchema(&schema_in);
-  if (!schema.ok()) return InSection(kSectionSchema, schema.status());
-
-  OPMAP_ASSIGN_OR_RETURN(const Section* meta_sec,
-                         FindSection(sections, kSectionMeta));
-  std::istringstream meta_in(meta_sec->payload);
-  BinaryReader meta_reader(&meta_in, meta_sec->payload.size());
-  CubeStore store;
-  OPMAP_RETURN_NOT_OK(InSection(
-      kSectionMeta,
-      ReadMeta(&meta_reader, std::move(schema).MoveValue(), &store)));
-
-  OPMAP_ASSIGN_OR_RETURN(const Section* attr_sec,
-                         FindSection(sections, kSectionAttrCubes));
-  if (attr_sec->record_count != store.attr_cubes_.size()) {
-    return Status::IOError("section 'attr_cubes' holds " +
-                           std::to_string(attr_sec->record_count) +
-                           " cubes, schema implies " +
-                           std::to_string(store.attr_cubes_.size()));
-  }
-  std::istringstream attr_in(attr_sec->payload);
-  BinaryReader attr_reader(&attr_in, attr_sec->payload.size());
-  for (RuleCube& cube : store.attr_cubes_) {
-    OPMAP_RETURN_NOT_OK(
-        InSection(kSectionAttrCubes, ReadCubeCounts(&attr_reader, &cube)));
-  }
-
-  OPMAP_ASSIGN_OR_RETURN(const Section* pair_sec,
-                         FindSection(sections, kSectionPairCubes));
-  if (pair_sec->record_count != store.pair_cubes_.size()) {
-    return Status::IOError("section 'pair_cubes' holds " +
-                           std::to_string(pair_sec->record_count) +
-                           " cubes, schema implies " +
-                           std::to_string(store.pair_cubes_.size()));
-  }
-  std::istringstream pair_in(pair_sec->payload);
-  BinaryReader pair_reader(&pair_in, pair_sec->payload.size());
-  for (RuleCube& cube : store.pair_cubes_) {
-    OPMAP_RETURN_NOT_OK(
-        InSection(kSectionPairCubes, ReadCubeCounts(&pair_reader, &cube)));
-  }
-  return store;
-}
-
-// Seed format: all fields back to back with no checksums. `r` is
-// positioned just past the magic and version.
-Result<CubeStore> CubeStore::LoadV1(BinaryReader* r, std::istream* in) {
-  OPMAP_ASSIGN_OR_RETURN(Schema schema, ReadSchema(in));
-  CubeStore store;
-  OPMAP_RETURN_NOT_OK(ReadMeta(r, std::move(schema), &store));
-  for (RuleCube& cube : store.attr_cubes_) {
-    OPMAP_RETURN_NOT_OK(ReadCubeCounts(r, &cube));
-  }
-  for (RuleCube& cube : store.pair_cubes_) {
-    OPMAP_RETURN_NOT_OK(ReadCubeCounts(r, &cube));
-  }
-  return store;
-}
-
-// Parses the schema, meta and cube_index sections of a v3 container into a
-// store plus one index entry per cube: zeroed owned cubes, or with `views`
-// views of the count arrays in `data`, built once each with no cell
-// allocated. The caller must have CRC-verified those three sections
-// already; cube_data payload bytes are not touched. Validates every index
-// entry against the store's shape and the cube_data range.
-Status CubeStore::ParseV3Skeleton(const char* data,
-                                  const std::vector<AlignedSection>& sections,
-                                  bool views, CubeStore* store,
-                                  std::vector<V3CubeEntry>* entries) {
+// Parses the schema, meta and cube_index sections into a store plus one
+// located count array per cube: zeroed owned cubes, or with `views` views
+// of the count arrays in `data`, built once each with no cell allocated.
+// The caller must have CRC-verified those three sections already;
+// cube_data payload bytes are not touched. Validates every cube's cell
+// count against the store's shape.
+Status CubeStore::ParseSkeleton(const char* data,
+                                const std::vector<AlignedSection>& sections,
+                                bool views, CubeStore* store,
+                                std::vector<AlignedArray>* cubes) {
   OPMAP_ASSIGN_OR_RETURN(const AlignedSection* schema_sec,
                          FindAlignedSection(sections, kSectionSchema));
   const std::string schema_payload = PayloadString(data, *schema_sec);
@@ -224,10 +122,6 @@ Status CubeStore::ParseV3Skeleton(const char* data,
       ReadMeta(&meta_reader, std::move(schema).MoveValue(), store,
                /*build_cubes=*/!views)));
 
-  OPMAP_ASSIGN_OR_RETURN(const AlignedSection* index_sec,
-                         FindAlignedSection(sections, kSectionCubeIndex));
-  OPMAP_ASSIGN_OR_RETURN(const AlignedSection* data_sec,
-                         FindAlignedSection(sections, kSectionCubeData));
   // The cubes in store order: one (attribute, class) cube per attribute,
   // then the (a, b, class) cubes of the upper triangle.
   const int64_t num_attr = static_cast<int64_t>(store->attributes_.size());
@@ -244,70 +138,35 @@ Status CubeStore::ParseV3Skeleton(const char* data,
     }
   }
   const auto num_cubes = static_cast<int64_t>(dims.size());
-  if (index_sec->record_count != static_cast<uint64_t>(num_cubes)) {
-    return Status::IOError("section 'cube_index' holds " +
-                           std::to_string(index_sec->record_count) +
-                           " cubes, schema implies " +
-                           std::to_string(num_cubes));
-  }
-  const std::string index_payload = PayloadString(data, *index_sec);
-  std::istringstream index_in(index_payload);
-  BinaryReader index_reader(&index_in, index_payload.size());
+  OPMAP_ASSIGN_OR_RETURN(
+      *cubes, ParseArraySections(
+                  data, sections, kSectionCubeIndex, kSectionCubeData,
+                  std::vector<size_t>(dims.size(), sizeof(int64_t))));
 
-  entries->clear();
-  entries->reserve(static_cast<size_t>(num_cubes));
   if (views) {
     store->attr_cubes_.reserve(static_cast<size_t>(num_attr));
     store->pair_cubes_.reserve(static_cast<size_t>(num_cubes - num_attr));
   }
   for (int64_t i = 0; i < num_cubes; ++i) {
     std::vector<int>& cube_dims = dims[static_cast<size_t>(i)];
+    const AlignedArray& cube = (*cubes)[static_cast<size_t>(i)];
     uint64_t shape_cells = 1;
     for (int a : cube_dims) {
       shape_cells *=
           static_cast<uint64_t>(store->schema_.attribute(a).domain());
     }
-    V3CubeEntry e;
-    uint64_t rel_offset = 0;
-    {
-      Result<uint64_t> r = index_reader.ReadU64();
-      if (!r.ok()) return InSection(kSectionCubeIndex, r.status());
-      rel_offset = r.value();
-    }
-    {
-      Result<uint64_t> r = index_reader.ReadU64();
-      if (!r.ok()) return InSection(kSectionCubeIndex, r.status());
-      e.cells = r.value();
-    }
-    {
-      Result<uint32_t> r = index_reader.ReadU32();
-      if (!r.ok()) return InSection(kSectionCubeIndex, r.status());
-      e.crc = r.value();
-    }
-    if (e.cells != shape_cells) {
+    if (cube.count != shape_cells) {
       return Status::IOError("cube " + std::to_string(i) +
                              ": cell count mismatch (file does not match "
                              "schema)");
     }
-    if (rel_offset % kAlignedPayloadAlignment != 0) {
-      return Status::IOError("cube " + std::to_string(i) +
-                             ": payload offset is not aligned");
-    }
-    const uint64_t bytes = e.cells * sizeof(int64_t);
-    if (bytes > data_sec->size || rel_offset > data_sec->size - bytes) {
-      return Status::IOError("cube " + std::to_string(i) +
-                             ": payload range exceeds the 'cube_data' "
-                             "section");
-    }
-    e.abs_offset = data_sec->offset + rel_offset;
-    entries->push_back(e);
     if (views) {
       OPMAP_ASSIGN_OR_RETURN(
           RuleCube view,
           RuleCube::MakeView(
               store->schema_, std::move(cube_dims),
-              reinterpret_cast<const int64_t*>(data + e.abs_offset),
-              static_cast<int64_t>(e.cells)));
+              reinterpret_cast<const int64_t*>(data + cube.offset),
+              static_cast<int64_t>(cube.count)));
       (i < num_attr ? store->attr_cubes_ : store->pair_cubes_)
           .push_back(std::move(view));
     }
@@ -315,55 +174,28 @@ Status CubeStore::ParseV3Skeleton(const char* data,
   return Status::OK();
 }
 
-// Full eager verification + copy: used by LoadFromBytes on v3 and by
-// LoadFromFile with use_mmap=false. Verifies every section payload CRC and
-// that all alignment padding is zero, so any single-bit flip anywhere in
-// the file is caught (parity with the v2 loader), then copies counts into
-// owned cubes.
-Result<CubeStore> CubeStore::LoadV3Eager(const std::string& bytes) {
-  size_t header_size = 0;
-  OPMAP_ASSIGN_OR_RETURN(
-      std::vector<AlignedSection> sections,
-      ParseAlignedContainer(bytes.data(), bytes.size(), kCubeMagic,
-                            kCubeVersionV3, &header_size));
-  for (const AlignedSection& s : sections) {
-    OPMAP_RETURN_NOT_OK(VerifyAlignedPayload(bytes.data(), s));
-  }
-  // Padding between the table and the payloads is outside every CRC; it
-  // must be all zeros or the file was tampered with.
-  {
-    std::vector<std::pair<uint64_t, uint64_t>> covered;
-    covered.emplace_back(0, header_size);
-    for (const AlignedSection& s : sections) {
-      covered.emplace_back(s.offset, s.offset + s.size);
-    }
-    std::sort(covered.begin(), covered.end());
-    uint64_t pos = 0;
-    for (const auto& [begin, end] : covered) {
-      for (uint64_t i = pos; i < begin; ++i) {
-        if (bytes[static_cast<size_t>(i)] != '\0') {
-          return Status::IOError("container padding byte " +
-                                 std::to_string(i) +
-                                 " is nonzero: the file is corrupt");
-        }
-      }
-      if (end > pos) pos = end;
-    }
-  }
+// Full eager verification + copy, also behind LoadFromFile with
+// use_mmap=false. The container pass verifies every section CRC and that
+// all padding is zero, so any single-bit flip anywhere in the file is
+// caught; then counts are copied into owned cubes.
+Result<CubeStore> CubeStore::LoadFromBytes(const std::string& bytes) {
+  const char* data = bytes.data();
+  OPMAP_ASSIGN_OR_RETURN(std::vector<AlignedSection> sections,
+                         ParseAndVerifyAlignedContainer(
+                             data, bytes.size(), kCubeMagic, kCubeVersion));
 
   CubeStore store;
-  std::vector<V3CubeEntry> entries;
+  std::vector<AlignedArray> cubes;
   OPMAP_RETURN_NOT_OK(
-      ParseV3Skeleton(bytes.data(), sections, /*views=*/false, &store,
-                      &entries));
+      ParseSkeleton(data, sections, /*views=*/false, &store, &cubes));
   const auto num_attr = static_cast<int64_t>(store.attr_cubes_.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const V3CubeEntry& e = entries[i];
+  for (size_t i = 0; i < cubes.size(); ++i) {
+    const AlignedArray& e = cubes[i];
     RuleCube& cube = static_cast<int64_t>(i) < num_attr
                          ? store.attr_cubes_[i]
                          : store.pair_cubes_[i - static_cast<size_t>(num_attr)];
-    const char* src = bytes.data() + e.abs_offset;
-    const size_t nbytes = static_cast<size_t>(e.cells) * sizeof(int64_t);
+    const char* src = data + e.offset;
+    const size_t nbytes = static_cast<size_t>(e.count) * sizeof(int64_t);
     // The cube's own CRC was already covered by the cube_data section CRC;
     // re-check it so an internally inconsistent index fails here like it
     // would on the lazy path.
@@ -384,14 +216,14 @@ Result<CubeStore> CubeStore::LoadV3Eager(const std::string& bytes) {
 // Lazy mapped load: O(#cubes) after verifying only the header and the three
 // metadata sections. Cube count payloads are never read here — each is
 // CRC-verified on its first AttrCube/PairCube access.
-Result<CubeStore> CubeStore::LoadV3Mapped(const std::string& path, Env* env) {
+Result<CubeStore> CubeStore::LoadMapped(const std::string& path, Env* env) {
   OPMAP_TRACE_SPAN("cube.load_mapped");
   OPMAP_ASSIGN_OR_RETURN(std::unique_ptr<MappedRegion> region,
                          env->MapFile(path));
   OPMAP_ASSIGN_OR_RETURN(
       std::vector<AlignedSection> sections,
       ParseAlignedContainer(region->data(), region->size(), kCubeMagic,
-                            kCubeVersionV3));
+                            kCubeVersion));
   for (const char* name :
        {kSectionSchema, kSectionMeta, kSectionCubeIndex}) {
     OPMAP_ASSIGN_OR_RETURN(const AlignedSection* sec,
@@ -401,17 +233,17 @@ Result<CubeStore> CubeStore::LoadV3Mapped(const std::string& path, Env* env) {
 
   // Every cube is a view of the mapping. No payload byte is touched.
   CubeStore store;
-  std::vector<V3CubeEntry> entries;
-  OPMAP_RETURN_NOT_OK(ParseV3Skeleton(region->data(), sections,
-                                      /*views=*/true, &store, &entries));
+  std::vector<AlignedArray> cubes;
+  OPMAP_RETURN_NOT_OK(ParseSkeleton(region->data(), sections,
+                                    /*views=*/true, &store, &cubes));
 
   auto mapped = std::make_unique<Mapped>();
-  mapped->num_entries = static_cast<int64_t>(entries.size());
-  mapped->entries = std::make_unique<Mapped::Entry[]>(entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    mapped->entries[i].offset = entries[i].abs_offset;
-    mapped->entries[i].size = entries[i].cells * sizeof(int64_t);
-    mapped->entries[i].crc = entries[i].crc;
+  mapped->num_entries = static_cast<int64_t>(cubes.size());
+  mapped->entries = std::make_unique<Mapped::Entry[]>(cubes.size());
+  for (size_t i = 0; i < cubes.size(); ++i) {
+    mapped->entries[i].offset = cubes[i].offset;
+    mapped->entries[i].size = cubes[i].count * sizeof(int64_t);
+    mapped->entries[i].crc = cubes[i].crc;
   }
   mapped->region = std::move(region);
   store.mapped_ = std::move(mapped);
@@ -479,9 +311,8 @@ MappingStats CubeStore::GetMappingStats() const {
   return stats;
 }
 
-Status CubeStore::Save(std::ostream* out, SaveFormat format) const {
+std::string CubeStore::Serialize() const {
   std::vector<Section> sections;
-
   {
     std::ostringstream schema_out;
     WriteSchema(schema_, &schema_out);
@@ -501,50 +332,21 @@ Status CubeStore::Save(std::ostream* out, SaveFormat format) const {
                                static_cast<uint64_t>(num_records_),
                                meta_out.str()});
   }
-
-  std::string bytes;
-  if (format == SaveFormat::kV2) {
-    {
-      std::ostringstream cubes_out;
-      BinaryWriter w(&cubes_out);
-      for (const RuleCube& cube : attr_cubes_) WriteCubeCounts(cube, &w);
-      sections.push_back(Section{kSectionAttrCubes, attr_cubes_.size(),
-                                 cubes_out.str()});
+  std::vector<ArrayRef> counts;
+  counts.reserve(attr_cubes_.size() + pair_cubes_.size());
+  for (const std::vector<RuleCube>* cubes : {&attr_cubes_, &pair_cubes_}) {
+    for (const RuleCube& cube : *cubes) {
+      counts.push_back(ArrayRef{cube.raw_counts(),
+                                static_cast<uint64_t>(cube.num_cells()),
+                                sizeof(int64_t)});
     }
-    {
-      std::ostringstream cubes_out;
-      BinaryWriter w(&cubes_out);
-      for (const RuleCube& cube : pair_cubes_) WriteCubeCounts(cube, &w);
-      sections.push_back(Section{kSectionPairCubes, pair_cubes_.size(),
-                                 cubes_out.str()});
-    }
-    bytes = SerializeContainer(kCubeMagic, kCubeVersionV2, sections);
-  } else {
-    // v3: per-cube CRC index + one blob of raw count arrays, each padded
-    // to a 64-byte file offset so a mapping can serve them in place.
-    std::ostringstream index_out;
-    BinaryWriter iw(&index_out);
-    std::string data;
-    const uint64_t num_cubes = attr_cubes_.size() + pair_cubes_.size();
-    auto add_cube = [&](const RuleCube& cube) {
-      AppendAlignmentPadding(&data);
-      const auto* counts =
-          reinterpret_cast<const char*>(cube.raw_counts());
-      const size_t nbytes =
-          static_cast<size_t>(cube.num_cells()) * sizeof(int64_t);
-      iw.WriteU64(data.size());  // offset relative to cube_data start
-      iw.WriteU64(static_cast<uint64_t>(cube.num_cells()));
-      iw.WriteU32(Crc32c(counts, nbytes));
-      data.append(counts, nbytes);
-    };
-    for (const RuleCube& cube : attr_cubes_) add_cube(cube);
-    for (const RuleCube& cube : pair_cubes_) add_cube(cube);
-    sections.push_back(
-        Section{kSectionCubeIndex, num_cubes, index_out.str()});
-    sections.push_back(Section{kSectionCubeData, num_cubes, std::move(data)});
-    bytes = SerializeAlignedContainer(kCubeMagic, kCubeVersionV3, sections);
   }
+  AppendArraySections(kSectionCubeIndex, kSectionCubeData, counts, &sections);
+  return SerializeAlignedContainer(kCubeMagic, kCubeVersion, sections);
+}
 
+Status CubeStore::Save(std::ostream* out, SaveFormat /*format*/) const {
+  const std::string bytes = Serialize();
   out->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   out->flush();
   if (!out->good()) {
@@ -554,63 +356,17 @@ Status CubeStore::Save(std::ostream* out, SaveFormat format) const {
   return Status::OK();
 }
 
-Status CubeStore::SaveToFile(const std::string& path, Env* env,
-                             SaveFormat format) const {
+Status CubeStore::SaveToFile(const std::string& path, Env* env) const {
   OPMAP_TRACE_SPAN("cube.save_store");
-  std::ostringstream buf;
-  OPMAP_RETURN_NOT_OK(Save(&buf, format));
-  return AtomicWriteFile(env, path, buf.str());
-}
-
-Result<CubeStore> CubeStore::LoadFromBytes(const std::string& bytes) {
-  std::istringstream in(bytes);
-  BinaryReader r(&in, bytes.size());
-  OPMAP_RETURN_NOT_OK(r.ExpectMagic(kCubeMagic));
-  OPMAP_ASSIGN_OR_RETURN(uint32_t version, r.ReadU32());
-  if (version == kCubeVersionV1) return LoadV1(&r, &in);
-  if (version == kCubeVersionV2) return LoadV2(bytes);
-  if (version == kCubeVersionV3) return LoadV3Eager(bytes);
-  return Status::IOError("unsupported cube store format version " +
-                         std::to_string(version));
-}
-
-Result<CubeStore> CubeStore::Load(std::istream* in) {
-  std::ostringstream buf;
-  buf << in->rdbuf();
-  if (in->bad()) return Status::IOError("read failure while loading cubes");
-  return LoadFromBytes(buf.str());
+  return AtomicWriteFile(env, path, Serialize());
 }
 
 Result<CubeStore> CubeStore::LoadFromFile(const std::string& path, Env* env,
                                           const CubeLoadOptions& options) {
   OPMAP_TRACE_SPAN("cube.load_store");
   if (env == nullptr) env = Env::Default();
-
-  // Peek the magic + version to pick a load path without reading the body.
-  // Short or unrecognizable heads fall through to the eager path, which
-  // reports the proper magic/truncation error.
-  uint32_t version = 0;
-  {
-    Result<std::unique_ptr<SequentialFile>> file = env->NewSequentialFile(path);
-    if (!file.ok()) {
-      return Status(file.status().code(),
-                    "cube store '" + path + "': " + file.status().message());
-    }
-    std::string head;
-    bool eof = false;
-    Status st = file.value()->Read(8, &head, &eof);
-    if (!st.ok()) {
-      return Status(st.code(), "cube store '" + path + "': " + st.message());
-    }
-    if (head.size() == 8 && std::memcmp(head.data(), kCubeMagic, 4) == 0) {
-      std::memcpy(&version, head.data() + 4, sizeof(version));
-    }
-  }
-
   Result<CubeStore> store = [&]() -> Result<CubeStore> {
-    if (version == kCubeVersionV3 && options.use_mmap) {
-      return LoadV3Mapped(path, env);
-    }
+    if (options.use_mmap) return LoadMapped(path, env);
     std::string bytes;
     OPMAP_RETURN_NOT_OK(ReadFileToString(env, path, &bytes));
     return LoadFromBytes(bytes);

@@ -17,6 +17,7 @@ namespace opmap {
 
 class BinaryReader;
 class Env;
+struct AlignedArray;
 struct AlignedSection;
 
 /// Options for cube materialization.
@@ -51,8 +52,7 @@ struct CubeStoreOptions {
   int64_t block_rows = 0;
 };
 
-/// How CubeStore::LoadFromFile maps v3 files. v1/v2 files always load
-/// eagerly regardless of these options.
+/// How CubeStore::LoadFromFile reads a cube file.
 struct CubeLoadOptions {
   /// Map the file (Env::MapFile) and serve cube counts in place: the load
   /// returns in O(#cubes) after verifying only the header, schema, meta and
@@ -66,7 +66,7 @@ struct CubeLoadOptions {
 /// actually been touched. All zeros/false for eagerly loaded or built
 /// stores.
 struct MappingStats {
-  /// True when the store serves cube counts from a lazy v3 mapping.
+  /// True when the store serves cube counts from a lazy mapping.
   bool mapped = false;
   /// True when the mapping is a real mmap (false: aligned heap fallback).
   bool is_mmap = false;
@@ -140,25 +140,26 @@ class CubeStore {
   /// its counts (build or Clone first — mapped views are immutable).
   Status AddCounts(const CubeStore& delta);
 
-  /// On-disk format selector. v2 is the checksummed stream container; v3
-  /// adds 64-byte-aligned raw count payloads plus a per-cube CRC index so
-  /// files can be mapped and served zero-copy (docs/FORMATS.md).
-  enum class SaveFormat { kV2, kV3Aligned };
+  /// The one on-disk format: the aligned container with 64-byte-aligned
+  /// raw count arrays and a per-cube CRC index, so files can be mapped and
+  /// served zero-copy (docs/FORMATS.md). `Save` still takes it so callers
+  /// that name it compile; it selects nothing.
+  enum class SaveFormat { kV3Aligned };
 
-  /// Binary persistence ("OPMC" format): the deployed system generates
-  /// cubes offline (overnight) and reloads them for interactive use.
-  /// `Save` defaults to the v2 stream container; `SaveToFile` defaults to
-  /// v3 so files are mmap-servable. Readers accept v1 (seed format, no
-  /// checksums), v2 and v3. SaveToFile is crash-safe: write-to-temp,
-  /// fsync, atomic rename through `env` (nullptr = Env::Default()), so no
-  /// failure mid-save corrupts an existing file.
-  Status Save(std::ostream* out, SaveFormat format = SaveFormat::kV2) const;
-  Status SaveToFile(const std::string& path, Env* env = nullptr,
-                    SaveFormat format = SaveFormat::kV3Aligned) const;
-  static Result<CubeStore> Load(std::istream* in);
+  /// Binary persistence ("OPMC" format, version 3): the deployed system
+  /// generates cubes offline (overnight) and reloads them for interactive
+  /// use. Readers refuse every other version by number. SaveToFile is
+  /// crash-safe: write-to-temp, fsync, atomic rename through `env`
+  /// (nullptr = Env::Default()), so no failure mid-save corrupts an
+  /// existing file.
+  Status Save(std::ostream* out,
+              SaveFormat format = SaveFormat::kV3Aligned) const;
+  Status SaveToFile(const std::string& path, Env* env = nullptr) const;
+  /// Eager load of a whole file image: every byte is verified before any
+  /// count is trusted.
   static Result<CubeStore> LoadFromBytes(const std::string& bytes);
-  /// Loads a store. v3 files are mapped and served lazily per `options`;
-  /// v1/v2 files are read and verified eagerly.
+  /// Loads a store: mapped and verified lazily per `options`, or read and
+  /// verified eagerly.
   static Result<CubeStore> LoadFromFile(const std::string& path,
                                         Env* env = nullptr,
                                         const CubeLoadOptions& options = {});
@@ -173,31 +174,24 @@ class CubeStore {
   // CubeBuilder::Make allocates cubes for, and mapped loads point views at.
   Status InitLayout(Schema schema, const CubeStoreOptions& options);
 
-  // Version-specific load paths (cube_io.cc). ReadMeta fills everything
-  // that is not schema or cube counts; with `build_cubes` false it leaves
-  // the cube vectors empty (the caller builds views instead).
+  // Load and save paths (cube_io.cc). ReadMeta fills everything that is
+  // not schema or cube counts; with `build_cubes` false it leaves the cube
+  // vectors empty (the caller builds views instead).
   static Status ReadMeta(BinaryReader* r, Schema schema, CubeStore* out,
-                         bool build_cubes = true);
-  static Result<CubeStore> LoadV1(BinaryReader* r, std::istream* in);
-  static Result<CubeStore> LoadV2(const std::string& bytes);
-  static Result<CubeStore> LoadV3Eager(const std::string& bytes);
-  static Result<CubeStore> LoadV3Mapped(const std::string& path, Env* env);
+                         bool build_cubes);
+  static Result<CubeStore> LoadMapped(const std::string& path, Env* env);
+  std::string Serialize() const;
 
-  // One parsed v3 cube-index entry, in store order (attribute cubes first,
-  // then the packed pair-cube triangle).
-  struct V3CubeEntry {
-    uint64_t abs_offset = 0;  // absolute file offset of the count array
-    uint64_t cells = 0;
-    uint32_t crc = 0;
-  };
-  // Parses the schema/meta/cube_index sections of a v3 container (already
-  // CRC-verified by the caller) into a store plus one index entry per
-  // cube; cube_data payload bytes are not touched. With `views` every cube
-  // is a view of its count array in `data`; otherwise a zeroed owned cube.
-  static Status ParseV3Skeleton(const char* data,
-                                const std::vector<AlignedSection>& sections,
-                                bool views, CubeStore* store,
-                                std::vector<V3CubeEntry>* entries);
+  // Parses the schema/meta/cube_index sections (already CRC-verified by
+  // the caller) into a store plus one located count array per cube, in
+  // store order (attribute cubes first, then the packed pair-cube
+  // triangle); cube_data payload bytes are not touched. With `views` every
+  // cube is a view of its count array in `data`; otherwise a zeroed owned
+  // cube.
+  static Status ParseSkeleton(const char* data,
+                              const std::vector<AlignedSection>& sections,
+                              bool views, CubeStore* store,
+                              std::vector<AlignedArray>* cubes);
 
   // First-touch payload verification for lazily loaded stores: CRC-checks
   // cube `index` (attr cubes first, then pair cubes) once, caching the
@@ -219,7 +213,7 @@ class CubeStore {
   bool has_pair_cubes_ = false;
   std::vector<RuleCube> pair_cubes_;  // packed upper triangle
 
-  // Lazy v3 serving state (cube_io.cc); null for built/eager stores.
+  // Lazy serving state (cube_io.cc); null for built/eager stores.
   // Mutable: first-touch verification caches its verdict through const
   // accessors. Makes CubeStore move-only, which every call site already
   // respects.

@@ -1,21 +1,24 @@
 #include "opmap/data/dataset_io.h"
 
+#include <cstring>
 #include <sstream>
 
 #include "opmap/common/io.h"
 #include "opmap/common/serde.h"
+#include "opmap/common/trace.h"
 
 namespace opmap {
 
 namespace {
 
 constexpr char kDatasetMagic[4] = {'O', 'P', 'M', 'D'};
-constexpr uint32_t kDatasetVersionV1 = 1;
-constexpr uint32_t kDatasetVersionV2 = 2;
+constexpr uint32_t kDatasetVersion = 3;
 
-// v2 container section names; corruption errors cite these.
+// Container section names; corruption errors cite these. The columns are
+// an index + data pair (AppendArraySections), one raw array per attribute.
 constexpr char kSectionSchema[] = "schema";
-constexpr char kSectionColumns[] = "columns";
+constexpr char kSectionColumnIndex[] = "column_index";
+constexpr char kSectionColumnData[] = "column_data";
 
 Status InSection(const char* section, Status st) {
   if (st.ok()) return st;
@@ -23,55 +26,83 @@ Status InSection(const char* section, Status st) {
                 "section '" + std::string(section) + "': " + st.message());
 }
 
-// Reads the column block (row count + one column per attribute) that both
-// versions share, and assembles the dataset.
-Result<Dataset> ReadColumns(BinaryReader* r, Schema schema) {
-  OPMAP_ASSIGN_OR_RETURN(uint64_t rows, r->ReadU64());
-  const int n = schema.num_attributes();
-  std::vector<std::vector<ValueCode>> cat(static_cast<size_t>(n));
-  std::vector<std::vector<double>> num(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    if (schema.attribute(i).is_categorical()) {
-      OPMAP_ASSIGN_OR_RETURN(cat[static_cast<size_t>(i)], r->ReadI32Vector());
-      if (cat[static_cast<size_t>(i)].size() != rows) {
-        return Status::IOError("column length mismatch");
-      }
+std::string SerializeDataset(const Dataset& dataset) {
+  std::vector<Section> sections;
+  {
+    std::ostringstream schema_out;
+    WriteSchema(dataset.schema(), &schema_out);
+    sections.push_back(
+        Section{kSectionSchema,
+                static_cast<uint64_t>(dataset.num_attributes()),
+                schema_out.str()});
+  }
+  const auto rows = static_cast<uint64_t>(dataset.num_rows());
+  std::vector<ArrayRef> columns;
+  columns.reserve(static_cast<size_t>(dataset.num_attributes()));
+  for (int i = 0; i < dataset.num_attributes(); ++i) {
+    if (dataset.schema().attribute(i).is_categorical()) {
+      columns.push_back(ArrayRef{dataset.categorical_column(i).data(), rows,
+                                 sizeof(ValueCode)});
     } else {
-      OPMAP_ASSIGN_OR_RETURN(num[static_cast<size_t>(i)],
-                             r->ReadDoubleVector());
-      if (num[static_cast<size_t>(i)].size() != rows) {
-        return Status::IOError("column length mismatch");
-      }
+      columns.push_back(
+          ArrayRef{dataset.numeric_column(i).data(), rows, sizeof(double)});
     }
   }
-  Dataset dataset(std::move(schema));
-  OPMAP_RETURN_NOT_OK(dataset.SetColumnData(std::move(cat), std::move(num)));
-  return dataset;
+  AppendArraySections(kSectionColumnIndex, kSectionColumnData, columns,
+                      &sections);
+  return SerializeAlignedContainer(kDatasetMagic, kDatasetVersion, sections);
 }
 
-Result<Dataset> LoadV2(const std::string& bytes) {
-  OPMAP_ASSIGN_OR_RETURN(
-      std::vector<Section> sections,
-      ParseContainer(bytes, kDatasetMagic, kDatasetVersionV2));
-
-  OPMAP_ASSIGN_OR_RETURN(const Section* schema_sec,
-                         FindSection(sections, kSectionSchema));
-  std::istringstream schema_in(schema_sec->payload);
+// Verifies the whole image, then copies each column out of it once.
+Result<Dataset> ParseDataset(const char* data, size_t size) {
+  OPMAP_ASSIGN_OR_RETURN(std::vector<AlignedSection> sections,
+                         ParseAndVerifyAlignedContainer(
+                             data, size, kDatasetMagic, kDatasetVersion));
+  OPMAP_ASSIGN_OR_RETURN(const AlignedSection* schema_sec,
+                         FindAlignedSection(sections, kSectionSchema));
+  std::istringstream schema_in(
+      std::string(data + schema_sec->offset, schema_sec->size));
   Result<Schema> schema = ReadSchema(&schema_in);
   if (!schema.ok()) return InSection(kSectionSchema, schema.status());
 
-  OPMAP_ASSIGN_OR_RETURN(const Section* cols_sec,
-                         FindSection(sections, kSectionColumns));
-  std::istringstream cols_in(cols_sec->payload);
-  BinaryReader cols_reader(&cols_in, cols_sec->payload.size());
-  Result<Dataset> dataset =
-      ReadColumns(&cols_reader, std::move(schema).MoveValue());
-  if (!dataset.ok()) return InSection(kSectionColumns, dataset.status());
-  if (static_cast<uint64_t>(dataset->num_rows()) != cols_sec->record_count) {
-    return Status::IOError("section 'columns' holds " +
-                           std::to_string(dataset->num_rows()) +
-                           " rows, header declares " +
-                           std::to_string(cols_sec->record_count));
+  const int n = schema->num_attributes();
+  std::vector<size_t> elem_sizes;
+  for (int i = 0; i < n; ++i) {
+    elem_sizes.push_back(schema->attribute(i).is_categorical()
+                             ? sizeof(ValueCode)
+                             : sizeof(double));
+  }
+  OPMAP_ASSIGN_OR_RETURN(
+      std::vector<AlignedArray> columns,
+      ParseArraySections(data, sections, kSectionColumnIndex,
+                         kSectionColumnData, elem_sizes));
+  // ReadSchema guarantees at least one attribute.
+  const uint64_t rows = columns[0].count;
+  std::vector<std::vector<ValueCode>> cat(static_cast<size_t>(n));
+  std::vector<std::vector<double>> num(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const AlignedArray& col = columns[static_cast<size_t>(i)];
+    if (col.count != rows) {
+      return Status::IOError("column " + std::to_string(i) + " holds " +
+                             std::to_string(col.count) + " rows, column 0 " +
+                             std::to_string(rows));
+    }
+    // memcpy: a byte image need not be aligned for typed reads.
+    void* dst;
+    if (elem_sizes[static_cast<size_t>(i)] == sizeof(double)) {
+      num[static_cast<size_t>(i)].resize(static_cast<size_t>(rows));
+      dst = num[static_cast<size_t>(i)].data();
+    } else {
+      cat[static_cast<size_t>(i)].resize(static_cast<size_t>(rows));
+      dst = cat[static_cast<size_t>(i)].data();
+    }
+    std::memcpy(dst, data + col.offset,
+                static_cast<size_t>(rows) * elem_sizes[static_cast<size_t>(i)]);
+  }
+  Dataset dataset(std::move(schema).MoveValue());
+  Status st = dataset.SetColumnData(std::move(cat), std::move(num));
+  if (!st.ok()) {
+    return InSection(kSectionColumnData, Status::IOError(st.message()));
   }
   return dataset;
 }
@@ -132,32 +163,7 @@ Result<Schema> ReadSchema(std::istream* in) {
 }
 
 Status SaveDataset(const Dataset& dataset, std::ostream* out) {
-  std::vector<Section> sections;
-  {
-    std::ostringstream schema_out;
-    WriteSchema(dataset.schema(), &schema_out);
-    sections.push_back(
-        Section{kSectionSchema,
-                static_cast<uint64_t>(dataset.num_attributes()),
-                schema_out.str()});
-  }
-  {
-    std::ostringstream cols_out;
-    BinaryWriter w(&cols_out);
-    w.WriteU64(static_cast<uint64_t>(dataset.num_rows()));
-    for (int i = 0; i < dataset.num_attributes(); ++i) {
-      if (dataset.schema().attribute(i).is_categorical()) {
-        w.WriteI32Vector(dataset.categorical_column(i));
-      } else {
-        w.WriteDoubleVector(dataset.numeric_column(i));
-      }
-    }
-    sections.push_back(Section{kSectionColumns,
-                               static_cast<uint64_t>(dataset.num_rows()),
-                               cols_out.str()});
-  }
-  const std::string bytes =
-      SerializeContainer(kDatasetMagic, kDatasetVersionV2, sections);
+  const std::string bytes = SerializeDataset(dataset);
   out->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   out->flush();
   if (!out->good()) {
@@ -169,36 +175,21 @@ Status SaveDataset(const Dataset& dataset, std::ostream* out) {
 
 Status SaveDatasetToFile(const Dataset& dataset, const std::string& path,
                          Env* env) {
-  std::ostringstream buf;
-  OPMAP_RETURN_NOT_OK(SaveDataset(dataset, &buf));
-  return AtomicWriteFile(env, path, buf.str());
+  return AtomicWriteFile(env, path, SerializeDataset(dataset));
 }
 
 Result<Dataset> LoadDatasetFromBytes(const std::string& bytes) {
-  std::istringstream in(bytes);
-  BinaryReader r(&in, bytes.size());
-  OPMAP_RETURN_NOT_OK(r.ExpectMagic(kDatasetMagic));
-  OPMAP_ASSIGN_OR_RETURN(uint32_t version, r.ReadU32());
-  if (version == kDatasetVersionV1) {
-    OPMAP_ASSIGN_OR_RETURN(Schema schema, ReadSchema(&in));
-    return ReadColumns(&r, std::move(schema));
-  }
-  if (version == kDatasetVersionV2) return LoadV2(bytes);
-  return Status::IOError("unsupported dataset format version " +
-                         std::to_string(version));
-}
-
-Result<Dataset> LoadDataset(std::istream* in) {
-  std::ostringstream buf;
-  buf << in->rdbuf();
-  if (in->bad()) return Status::IOError("read failure while loading dataset");
-  return LoadDatasetFromBytes(buf.str());
+  return ParseDataset(bytes.data(), bytes.size());
 }
 
 Result<Dataset> LoadDatasetFromFile(const std::string& path, Env* env) {
-  std::string bytes;
-  OPMAP_RETURN_NOT_OK(ReadFileToString(env, path, &bytes));
-  Result<Dataset> dataset = LoadDatasetFromBytes(bytes);
+  OPMAP_TRACE_SPAN("data.load_dataset");
+  if (env == nullptr) env = Env::Default();
+  Result<Dataset> dataset = [&]() -> Result<Dataset> {
+    OPMAP_ASSIGN_OR_RETURN(std::unique_ptr<MappedRegion> region,
+                           env->MapFile(path));
+    return ParseDataset(region->data(), region->size());
+  }();
   if (!dataset.ok()) {
     return Status(dataset.status().code(),
                   "dataset '" + path + "': " + dataset.status().message());

@@ -11,13 +11,13 @@ namespace opmap {
 
 class Env;
 
-/// Binary dataset persistence ("OPMD" format, version 2): schema
-/// (attribute names, kinds, dictionaries, ordered flags, class index)
-/// followed by raw column data, each in an independently CRC32C-checksummed
-/// container section. Roughly 10x faster to load than CSV and preserves
-/// dictionary code assignments exactly. Readers also accept the seed's
-/// unchecksummed version-1 files; SaveDatasetToFile replaces the target
-/// atomically (write-to-temp + fsync + rename through `env`).
+/// Binary dataset persistence ("OPMD" format, version 3): the schema
+/// (attribute names, kinds, dictionaries, ordered flags, class index) plus
+/// one raw 64-byte-aligned column array per attribute, each with its own
+/// CRC32C, in the aligned section container (docs/FORMATS.md). Preserves
+/// dictionary code assignments exactly. Readers verify every byte and
+/// refuse every other version by number; SaveDatasetToFile replaces the
+/// target atomically (write-to-temp + fsync + rename through `env`).
 
 /// Serializes `schema` into `writer`'s stream (shared with the cube-store
 /// format).
@@ -30,7 +30,6 @@ Status SaveDataset(const Dataset& dataset, std::ostream* out);
 Status SaveDatasetToFile(const Dataset& dataset, const std::string& path,
                          Env* env = nullptr);
 
-Result<Dataset> LoadDataset(std::istream* in);
 Result<Dataset> LoadDatasetFromBytes(const std::string& bytes);
 Result<Dataset> LoadDatasetFromFile(const std::string& path,
                                     Env* env = nullptr);

@@ -15,7 +15,8 @@ namespace opmap {
 namespace {
 
 constexpr char kManifestMagic[4] = {'O', 'P', 'M', 'M'};
-constexpr uint32_t kManifestVersion = 1;
+constexpr uint32_t kManifestVersion = 2;
+constexpr char kSectionState[] = "state";
 constexpr char kManifestName[] = "MANIFEST";
 
 Counter* IngestBatches() {
@@ -144,31 +145,37 @@ Status Ingester::WriteManifest(const Manifest& manifest) {
   w.WriteU64(manifest.cube_generation);
   w.WriteU64(manifest.last_applied_seq);
   w.WriteU64(manifest.first_segment_id);
-  std::vector<Section> sections(1);
-  sections[0].name = "state";
-  sections[0].record_count = 1;
-  sections[0].payload = payload.str();
   return AtomicWriteFile(
       env_, PathOf(kManifestName),
-      SerializeContainer(kManifestMagic, kManifestVersion, sections));
+      SerializeAlignedContainer(kManifestMagic, kManifestVersion,
+                                {Section{kSectionState, 1, payload.str()}}));
 }
 
 Result<Ingester::Manifest> Ingester::ReadManifest(Env* env,
                                                   const std::string& dir) {
+  const std::string path = dir + "/" + kManifestName;
   std::string bytes;
-  OPMAP_RETURN_NOT_OK(
-      ReadFileToString(env, dir + "/" + kManifestName, &bytes));
-  OPMAP_ASSIGN_OR_RETURN(
-      const std::vector<Section> sections,
-      ParseContainer(bytes, kManifestMagic, kManifestVersion));
-  OPMAP_ASSIGN_OR_RETURN(const Section* state,
-                         FindSection(sections, "state"));
-  std::istringstream in(state->payload);
-  BinaryReader r(&in);
-  Manifest manifest;
-  OPMAP_ASSIGN_OR_RETURN(manifest.cube_generation, r.ReadU64());
-  OPMAP_ASSIGN_OR_RETURN(manifest.last_applied_seq, r.ReadU64());
-  OPMAP_ASSIGN_OR_RETURN(manifest.first_segment_id, r.ReadU64());
+  OPMAP_RETURN_NOT_OK(ReadFileToString(env, path, &bytes));
+  Result<Manifest> manifest = [&]() -> Result<Manifest> {
+    OPMAP_ASSIGN_OR_RETURN(
+        const std::vector<AlignedSection> sections,
+        ParseAndVerifyAlignedContainer(bytes.data(), bytes.size(),
+                                       kManifestMagic, kManifestVersion));
+    OPMAP_ASSIGN_OR_RETURN(const AlignedSection* state,
+                           FindAlignedSection(sections, kSectionState));
+    std::istringstream in(bytes.substr(state->offset, state->size));
+    BinaryReader r(&in, state->size);
+    Manifest m;
+    OPMAP_ASSIGN_OR_RETURN(m.cube_generation, r.ReadU64());
+    OPMAP_ASSIGN_OR_RETURN(m.last_applied_seq, r.ReadU64());
+    OPMAP_ASSIGN_OR_RETURN(m.first_segment_id, r.ReadU64());
+    return m;
+  }();
+  if (!manifest.ok()) {
+    return Status(manifest.status().code(),
+                  "ingest manifest '" + path + "': " +
+                      manifest.status().message());
+  }
   return manifest;
 }
 

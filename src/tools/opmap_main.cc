@@ -169,8 +169,8 @@ void RequireFlag(const std::string& value, const char* flag) {
   }
 }
 
-// --mmap=on|off selects lazy mapped serving vs eager load for v3 cube
-// files (v1/v2 always load eagerly). Default on.
+// --mmap=on|off selects lazy mapped serving vs an eager, fully verified
+// load of the cube file. Default on.
 CubeLoadOptions LoadOptionsOf(const Args& args) {
   CubeLoadOptions options;
   const std::string mmap = args.GetString("mmap");
@@ -955,8 +955,9 @@ int Usage() {
       "--kernel=reference|blocked|simd picks the counting kernel "
       "(default: OPMAP_KERNEL env var, else simd when the CPU supports "
       "it, else blocked); counts are bit-identical for every kernel\n"
-      "--mmap=on|off maps v3 cube files and verifies cubes lazily on "
-      "first access (default on); results are identical either way\n"
+      "--mmap=on|off maps cube files and verifies each cube lazily on "
+      "first access (default on; off reads and verifies the whole file "
+      "up front); results are identical either way\n"
       "--cache-mb=N bounds the query-result cache (default 0 = off; "
       "compare defaults to 16)\n"
       "--verbose prints serving stats (mapping + cache) on stderr\n"

@@ -82,6 +82,21 @@ EOF
 "$OPMAP" overview --cubes="$DIR/does-not-exist" >/dev/null 2>&1 \
     && fail "missing file should fail"
 
+# Retired v1/v2 files are refused as I/O errors (exit 3) that name the
+# file and its version, on the mapped and the eager cube paths alike.
+for spec in "OPMC 1 cubes" "OPMC 2 cubes" "OPMD 1 data" "OPMD 2 data"; do
+  read -r magic version flag <<<"$spec"
+  old="$DIR/old-$magic-$version.bin"
+  { printf '%s' "$magic"; printf "\\x0$version\\x00\\x00\\x00"
+    head -c 64 /dev/zero; } >"$old"
+  for mmap in on off; do
+    rc=0; err=$("$OPMAP" info --"$flag"="$old" --mmap=$mmap 2>&1) || rc=$?
+    [ "$rc" -eq 3 ] || fail "info on a v$version $magic file should exit 3 (got $rc)"
+    grep -q "'$old'.*version $version" <<<"$err" \
+        || fail "v$version $magic error should name the file and version: $err"
+  done
+done
+
 echo "PASS"
 
 # HTML report generation (appended check; runs after the main PASS line is

@@ -1,10 +1,11 @@
 // Robustness suite for the hardened persistence layer: deterministic fault
 // injection against every filesystem touch of a cube-store save, bit-flip
-// and truncation sweeps over the checksummed v2 containers, and
-// compatibility with the seed's unchecksummed v1 files.
+// and truncation sweeps over the aligned container of cube stores and
+// datasets, and refusal of the retired v1/v2 files by name and version.
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -15,6 +16,7 @@
 #include "opmap/common/serde.h"
 #include "opmap/cube/cube_store.h"
 #include "opmap/data/dataset_io.h"
+#include "opmap/ingest/ingester.h"
 #include "test_util.h"
 
 namespace opmap {
@@ -50,6 +52,13 @@ std::string SerializeStore(const CubeStore& store) {
   return buf.str();
 }
 
+std::string SerializeDataset(const Dataset& d) {
+  std::ostringstream buf;
+  auto st = SaveDataset(d, &buf);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return buf.str();
+}
+
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
@@ -77,20 +86,39 @@ TEST(Container, RoundTrip) {
   sections.push_back(Section{"alpha", 3, "payload-one"});
   sections.push_back(Section{"beta", 0, ""});
   sections.push_back(Section{"gamma", 42, std::string(1000, '\7')});
-  const std::string bytes = SerializeContainer(magic, 2, sections);
+  const std::string bytes = SerializeAlignedContainer(magic, 2, sections);
 
-  ASSERT_OK_AND_ASSIGN(std::vector<Section> parsed,
-                       ParseContainer(bytes, magic, 2));
+  ASSERT_OK_AND_ASSIGN(
+      std::vector<AlignedSection> parsed,
+      ParseAndVerifyAlignedContainer(bytes.data(), bytes.size(), magic, 2));
   ASSERT_EQ(parsed.size(), 3u);
+  auto payload = [&bytes](const AlignedSection& s) {
+    return bytes.substr(static_cast<size_t>(s.offset),
+                        static_cast<size_t>(s.size));
+  };
   EXPECT_EQ(parsed[0].name, "alpha");
   EXPECT_EQ(parsed[0].record_count, 3u);
-  EXPECT_EQ(parsed[0].payload, "payload-one");
-  EXPECT_EQ(parsed[1].payload, "");
-  EXPECT_EQ(parsed[2].payload, std::string(1000, '\7'));
+  EXPECT_EQ(payload(parsed[0]), "payload-one");
+  EXPECT_EQ(payload(parsed[1]), "");
+  EXPECT_EQ(payload(parsed[2]), std::string(1000, '\7'));
+  for (const AlignedSection& s : parsed) {
+    EXPECT_EQ(s.offset % kAlignedPayloadAlignment, 0u) << s.name;
+  }
 
-  ASSERT_OK_AND_ASSIGN(const Section* gamma, FindSection(parsed, "gamma"));
+  ASSERT_OK_AND_ASSIGN(const AlignedSection* gamma,
+                       FindAlignedSection(parsed, "gamma"));
   EXPECT_EQ(gamma->record_count, 42u);
-  EXPECT_FALSE(FindSection(parsed, "missing").ok());
+  EXPECT_FALSE(FindAlignedSection(parsed, "missing").ok());
+
+  // Padding lies outside every CRC: the header-only parse accepts a dirty
+  // padding byte, the eager pass refuses it.
+  std::string dirty = bytes;
+  dirty[static_cast<size_t>(parsed[0].offset) - 1] = 'x';
+  EXPECT_OK(
+      ParseAlignedContainer(dirty.data(), dirty.size(), magic, 2).status());
+  EXPECT_FALSE(
+      ParseAndVerifyAlignedContainer(dirty.data(), dirty.size(), magic, 2)
+          .ok());
 }
 
 TEST(Container, CorruptPayloadNamesTheSection) {
@@ -98,19 +126,23 @@ TEST(Container, CorruptPayloadNamesTheSection) {
   std::vector<Section> sections;
   sections.push_back(Section{"first", 0, std::string(64, 'A')});
   sections.push_back(Section{"second", 0, std::string(64, 'B')});
-  std::string bytes = SerializeContainer(magic, 1, sections);
+  const std::string bytes = SerializeAlignedContainer(magic, 1, sections);
+  auto parse = [&magic](const std::string& b) {
+    return ParseAndVerifyAlignedContainer(b.data(), b.size(), magic, 1);
+  };
 
-  // Payloads are laid out back to back at the tail; flip one byte in each.
+  // Both 64-byte payloads are aligned, so they sit back to back at the
+  // tail; flip one byte in each.
   std::string corrupt_second = bytes;
   corrupt_second[bytes.size() - 1] ^= 0x10;
-  Result<std::vector<Section>> r2 = ParseContainer(corrupt_second, magic, 1);
+  Result<std::vector<AlignedSection>> r2 = parse(corrupt_second);
   ASSERT_FALSE(r2.ok());
   EXPECT_NE(r2.status().message().find("'second'"), std::string::npos)
       << r2.status().ToString();
 
   std::string corrupt_first = bytes;
   corrupt_first[bytes.size() - 65] ^= 0x10;
-  Result<std::vector<Section>> r1 = ParseContainer(corrupt_first, magic, 1);
+  Result<std::vector<AlignedSection>> r1 = parse(corrupt_first);
   ASSERT_FALSE(r1.ok());
   EXPECT_NE(r1.status().message().find("'first'"), std::string::npos)
       << r1.status().ToString();
@@ -118,20 +150,22 @@ TEST(Container, CorruptPayloadNamesTheSection) {
 
 TEST(Container, CorruptHeaderIsCaught) {
   const char magic[4] = {'T', 'E', 'S', 'T'};
-  std::string bytes =
-      SerializeContainer(magic, 1, {Section{"only", 7, "data"}});
-  // Byte 12 onward is the section table (magic, version, count, crc first).
+  const std::string bytes =
+      SerializeAlignedContainer(magic, 1, {Section{"only", 7, "data"}});
+  // Byte 16 onward is the section table (magic, version, count, crc first).
   std::string corrupt = bytes;
   corrupt[16] ^= 0x01;
-  EXPECT_FALSE(ParseContainer(corrupt, magic, 1).ok());
+  EXPECT_FALSE(
+      ParseAlignedContainer(corrupt.data(), corrupt.size(), magic, 1).ok());
 }
 
 TEST(Container, TrailingBytesRejected) {
   const char magic[4] = {'T', 'E', 'S', 'T'};
   std::string bytes =
-      SerializeContainer(magic, 1, {Section{"only", 0, "data"}});
+      SerializeAlignedContainer(magic, 1, {Section{"only", 0, "data"}});
   bytes += "junk";
-  EXPECT_FALSE(ParseContainer(bytes, magic, 1).ok());
+  EXPECT_FALSE(
+      ParseAlignedContainer(bytes.data(), bytes.size(), magic, 1).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -251,36 +285,9 @@ TEST(FaultInjection, ReadFailuresSurfaceAsErrors) {
 // Corruption sweeps (acceptance criterion b)
 // ---------------------------------------------------------------------------
 
-// Every single-bit flip anywhere in a v2 cube snapshot must be caught.
-TEST(CorruptionSweep, EveryBitFlipInCubeFileIsCaught) {
-  const CubeStore store = SmallStore();
-  const std::string bytes = SerializeStore(store);
-  ASSERT_GT(bytes.size(), 100u);
-
-  bool saw_section_error = false;
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string flipped = bytes;
-      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
-      Result<CubeStore> r = CubeStore::LoadFromBytes(flipped);
-      ASSERT_FALSE(r.ok())
-          << "bit " << bit << " of byte " << i << " flipped silently";
-      if (r.status().message().find("section '") != std::string::npos) {
-        saw_section_error = true;
-      }
-    }
-  }
-  EXPECT_TRUE(saw_section_error)
-      << "no corruption was attributed to a named section";
-}
-
-// Same sweep for dataset snapshots.
+// Every single-bit flip anywhere in a dataset file must be caught.
 TEST(CorruptionSweep, EveryBitFlipInDatasetFileIsCaught) {
-  const Dataset d = SmallDataset();
-  std::ostringstream buf;
-  ASSERT_OK(SaveDataset(d, &buf));
-  const std::string bytes = buf.str();
-
+  const std::string bytes = SerializeDataset(SmallDataset());
   for (size_t i = 0; i < bytes.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string flipped = bytes;
@@ -291,13 +298,72 @@ TEST(CorruptionSweep, EveryBitFlipInDatasetFileIsCaught) {
   }
 }
 
-// Every truncation of a v2 cube snapshot must be caught.
-TEST(CorruptionSweep, EveryTruncationIsCaught) {
-  const CubeStore store = SmallStore();
-  const std::string bytes = SerializeStore(store);
+TEST(CorruptionSweep, EveryTruncationOfDatasetFileIsCaught) {
+  const std::string bytes = SerializeDataset(SmallDataset());
+  ASSERT_OK(LoadDatasetFromBytes(bytes).status());
   for (size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_FALSE(CubeStore::LoadFromBytes(bytes.substr(0, len)).ok())
+    EXPECT_FALSE(LoadDatasetFromBytes(bytes.substr(0, len)).ok())
         << "truncation to " << len << " bytes loaded silently";
+  }
+}
+
+// An ingest directory whose MANIFEST has been committed by a compaction
+// (generation 2); returns the directory and the clean MANIFEST bytes.
+std::string ManifestDir(const std::string& name, std::string* manifest) {
+  const std::string dir = TempPath(name);
+  std::filesystem::remove_all(dir);
+  auto ing = Ingester::Create(nullptr, dir, SmallDataset().schema(),
+                              IngestOptions{});
+  EXPECT_TRUE(ing.ok()) << ing.status().ToString();
+  EXPECT_OK((*ing)->AppendBatch(SmallDataset()).status());
+  EXPECT_OK((*ing)->Compact());
+  EXPECT_OK((*ing)->Close());
+  EXPECT_OK(ReadFileToString(nullptr, dir + "/MANIFEST", manifest));
+  return dir;
+}
+
+// Opening over a damaged MANIFEST must fail at the manifest itself: a flip
+// that slipped past it could recover the wrong generation or replay the
+// wrong WAL segments.
+void ExpectManifestRefused(const std::string& dir, const std::string& bytes,
+                           const std::string& what) {
+  const std::string path = dir + "/MANIFEST";
+  ASSERT_OK(AtomicWriteFile(nullptr, path, bytes));
+  Result<std::unique_ptr<Ingester>> r =
+      Ingester::Open(nullptr, dir, IngestOptions{});
+  ASSERT_FALSE(r.ok()) << what << " opened the directory";
+  EXPECT_NE(r.status().message().find("ingest manifest '" + path + "'"),
+            std::string::npos)
+      << what << ": " << r.status().ToString();
+}
+
+TEST(CorruptionSweep, EveryBitFlipInManifestIsRefused) {
+  std::string bytes;
+  const std::string dir = ManifestDir("manifest_flip_sweep", &bytes);
+  ASSERT_FALSE(bytes.empty());
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = bytes;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      ExpectManifestRefused(dir, flipped,
+                            "flip of byte " + std::to_string(i) + " bit " +
+                                std::to_string(bit));
+    }
+  }
+  // The clean manifest still recovers the committed generation.
+  ASSERT_OK(AtomicWriteFile(nullptr, dir + "/MANIFEST", bytes));
+  ASSERT_OK_AND_ASSIGN(auto ing, Ingester::Open(nullptr, dir, IngestOptions{}));
+  EXPECT_EQ(ing->GetStats().cube_generation, 2u);
+  ASSERT_OK(ing->Close());
+}
+
+TEST(CorruptionSweep, EveryTruncationOfManifestIsRefused) {
+  std::string bytes;
+  const std::string dir = ManifestDir("manifest_truncation_sweep", &bytes);
+  ASSERT_FALSE(bytes.empty());
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    ExpectManifestRefused(dir, bytes.substr(0, len),
+                          "truncation to " + std::to_string(len) + " bytes");
   }
 }
 
@@ -334,99 +400,6 @@ TEST(CorruptionSweep, RandomCorruptionFuzzNeverYieldsWrongCounts) {
       ASSERT_EQ(cube->raw_counts()[i], reference->raw_counts()[i])
           << "corruption trial " << trial << " loaded with wrong counts";
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// v1 compatibility (acceptance criterion c)
-// ---------------------------------------------------------------------------
-
-// Replicates the seed's v1 writer byte for byte, independent of the
-// library's current save path, and proves the new loader still accepts it.
-std::string WriteV1CubeFile(const CubeStore& store) {
-  std::ostringstream out;
-  out.write("OPMC", 4);
-  BinaryWriter w(&out);
-  w.WriteU32(1);  // version
-  WriteSchema(store.schema(), &out);
-  w.WriteU64(store.attributes().size());
-  for (int a : store.attributes()) w.WriteI32(a);
-  w.WriteU8(1);  // has pair cubes (FromDataset builds them by default)
-  w.WriteI64(store.num_records());
-  w.WriteI64Vector(store.class_counts());
-  auto write_cube = [&w](const RuleCube& cube) {
-    w.WriteU64(static_cast<uint64_t>(cube.num_cells()));
-    for (int64_t i = 0; i < cube.num_cells(); ++i) {
-      w.WriteI64(cube.raw_counts()[i]);
-    }
-  };
-  for (int a : store.attributes()) {
-    auto cube = store.AttrCube(a);
-    EXPECT_TRUE(cube.ok());
-    write_cube(**cube);
-  }
-  const auto& attrs = store.attributes();
-  for (size_t i = 0; i < attrs.size(); ++i) {
-    for (size_t j = i + 1; j < attrs.size(); ++j) {
-      auto cube = store.PairCube(attrs[i], attrs[j]);
-      EXPECT_TRUE(cube.ok());
-      write_cube(**cube);
-    }
-  }
-  return out.str();
-}
-
-TEST(V1Compat, SeedCubeFilesStillLoad) {
-  const CubeStore store = SmallStore();
-  const std::string v1 = WriteV1CubeFile(store);
-
-  ASSERT_OK_AND_ASSIGN(CubeStore loaded, CubeStore::LoadFromBytes(v1));
-  EXPECT_EQ(loaded.num_records(), store.num_records());
-  EXPECT_EQ(loaded.NumCubes(), store.NumCubes());
-  EXPECT_EQ(loaded.class_counts(), store.class_counts());
-  for (int a : store.attributes()) {
-    ASSERT_OK_AND_ASSIGN(const RuleCube* oc, store.AttrCube(a));
-    ASSERT_OK_AND_ASSIGN(const RuleCube* lc, loaded.AttrCube(a));
-    ASSERT_EQ(oc->num_cells(), lc->num_cells());
-    for (int64_t i = 0; i < oc->num_cells(); ++i) {
-      EXPECT_EQ(oc->raw_counts()[i], lc->raw_counts()[i]);
-    }
-  }
-}
-
-TEST(V1Compat, SeedDatasetFilesStillLoad) {
-  const Dataset d = SmallDataset();
-  std::ostringstream out;
-  out.write("OPMD", 4);
-  BinaryWriter w(&out);
-  w.WriteU32(1);  // version
-  WriteSchema(d.schema(), &out);
-  w.WriteU64(static_cast<uint64_t>(d.num_rows()));
-  for (int i = 0; i < d.num_attributes(); ++i) {
-    if (d.schema().attribute(i).is_categorical()) {
-      w.WriteI32Vector(d.categorical_column(i));
-    } else {
-      w.WriteDoubleVector(d.numeric_column(i));
-    }
-  }
-
-  ASSERT_OK_AND_ASSIGN(Dataset loaded, LoadDatasetFromBytes(out.str()));
-  ASSERT_EQ(loaded.num_rows(), d.num_rows());
-  for (int64_t r = 0; r < d.num_rows(); ++r) {
-    for (int c = 0; c < d.num_attributes(); ++c) {
-      EXPECT_EQ(loaded.code(r, c), d.code(r, c));
-    }
-  }
-}
-
-// Corrupting a v1 file is still detected by the structural checks (no CRC
-// exists in that format, but truncation and framing damage must fail).
-TEST(V1Compat, TruncatedV1FileIsRejected) {
-  const CubeStore store = SmallStore();
-  const std::string v1 = WriteV1CubeFile(store);
-  for (size_t len = 0; len < v1.size(); len += 7) {
-    EXPECT_FALSE(CubeStore::LoadFromBytes(v1.substr(0, len)).ok())
-        << "v1 truncation to " << len << " bytes loaded silently";
   }
 }
 
@@ -469,19 +442,8 @@ TEST(EnvTest, RetryWithBackoffStopsOnNonTransientCodes) {
 }
 
 // ---------------------------------------------------------------------------
-// v3 aligned container: corruption sweeps over the eager and mapped paths
+// Cube stores: corruption sweeps over the eager and mapped paths
 // ---------------------------------------------------------------------------
-
-std::string SerializeStoreV3(const CubeStore& store) {
-  const std::string path = TempPath("serialize_v3_tmp.opmc");
-  auto st = store.SaveToFile(path);  // SaveToFile defaults to kV3Aligned
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  std::string bytes;
-  auto read = ReadFileToString(nullptr, path, &bytes);
-  EXPECT_TRUE(read.ok()) << read.ToString();
-  std::remove(path.c_str());
-  return bytes;
-}
 
 // Plain unsynced write: the sweeps below exercise the *read* path against
 // pre-made corrupt images, so AtomicWriteFile's fsync dance is pure cost.
@@ -514,26 +476,33 @@ Result<std::vector<int64_t>> DumpAllCounts(const CubeStore& store) {
   return out;
 }
 
-// The eager loader verifies every byte of a v3 image up front (section
+// The eager loader verifies every byte of an image up front (section
 // CRCs, per-cube payload CRCs, zeroed alignment padding), so no single-bit
-// corruption anywhere in the file may load (acceptance criterion b, v3).
+// corruption anywhere in the file may load, and damage is attributed to a
+// named section.
 TEST(V3CorruptionSweep, EveryBitFlipFailsEagerLoad) {
-  const std::string bytes = SerializeStoreV3(SmallStore());
+  const std::string bytes = SerializeStore(SmallStore());
   ASSERT_OK(CubeStore::LoadFromBytes(bytes).status());
 
+  bool saw_section_error = false;
   for (size_t i = 0; i < bytes.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string flipped = bytes;
       flipped[i] ^= static_cast<char>(1 << bit);
-      ASSERT_FALSE(CubeStore::LoadFromBytes(flipped).ok())
-          << "flip of byte " << i << " bit " << bit
-          << " produced a loadable store";
+      Result<CubeStore> r = CubeStore::LoadFromBytes(flipped);
+      ASSERT_FALSE(r.ok()) << "flip of byte " << i << " bit " << bit
+                           << " produced a loadable store";
+      if (r.status().message().find("section '") != std::string::npos) {
+        saw_section_error = true;
+      }
     }
   }
+  EXPECT_TRUE(saw_section_error)
+      << "no corruption was attributed to a named section";
 }
 
 TEST(V3CorruptionSweep, EveryTruncationFailsEagerLoad) {
-  const std::string bytes = SerializeStoreV3(SmallStore());
+  const std::string bytes = SerializeStore(SmallStore());
   for (size_t len = 0; len < bytes.size(); ++len) {
     ASSERT_FALSE(CubeStore::LoadFromBytes(bytes.substr(0, len)).ok())
         << "truncation to " << len << " bytes produced a loadable store";
@@ -547,7 +516,7 @@ TEST(V3CorruptionSweep, EveryTruncationFailsEagerLoad) {
 // byte-identical to the clean baseline.
 TEST(V3CorruptionSweep, MappedLoadNeverServesWrongCounts) {
   const CubeStore original = SmallStore();
-  const std::string bytes = SerializeStoreV3(original);
+  const std::string bytes = SerializeStore(original);
   ASSERT_OK_AND_ASSIGN(std::vector<int64_t> baseline,
                        DumpAllCounts(original));
   const std::string path = TempPath("v3_mapped_sweep.opmc");
@@ -598,9 +567,9 @@ TEST(V3Acceptance, CorruptUnqueriedCubePayloadStillServesOthers) {
   AppendRows(&d, {1, 0, 0, 1}, 3);
   ASSERT_OK_AND_ASSIGN(CubeStore store, CubeBuilder::FromDataset(d));
 
-  // The v3 writer pads *before* each cube payload, so the file's last byte
+  // The writer pads *before* each cube payload, so the file's last byte
   // is the final count byte of the last pair cube (b,c): corrupt just it.
-  std::string bytes = SerializeStoreV3(store);
+  std::string bytes = SerializeStore(store);
   bytes[bytes.size() - 1] ^= 0x01;
   const std::string path = TempPath("v3_corrupt_tail.opmc");
   WriteRaw(path, bytes);
@@ -645,6 +614,78 @@ TEST(V3Acceptance, CorruptUnqueriedCubePayloadStillServesOthers) {
   EXPECT_EQ(after.cubes_verified, after.cubes_total - 1)
       << "every cube but the damaged one should have verified";
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Retired formats: refused by name and version
+// ---------------------------------------------------------------------------
+
+// The head of a file in a retired format: magic, version, then a v2-style
+// section count and header CRC and some table bytes. Only the version
+// matters — a reader must stop there, before any CRC or magic check could
+// misreport the file as corrupt.
+std::string OldHeader(const char magic[4], uint32_t version) {
+  std::ostringstream out;
+  out.write(magic, 4);
+  BinaryWriter w(&out);
+  w.WriteU32(version);
+  w.WriteU32(2);           // section count
+  w.WriteU32(0xDEADBEEF);  // header CRC
+  out << std::string(64, '\0');
+  return out.str();
+}
+
+TEST(OldFormats, RefusedByNameAndVersion) {
+  enum class Reader { kCubesMapped, kCubesEager, kDataset, kManifest };
+  struct Case {
+    const char* name;
+    const char magic[4];
+    uint32_t version;
+    Reader reader;
+  };
+  const Case cases[] = {
+      {"v1 cube store, mapped", {'O', 'P', 'M', 'C'}, 1, Reader::kCubesMapped},
+      {"v1 cube store, eager", {'O', 'P', 'M', 'C'}, 1, Reader::kCubesEager},
+      {"v2 cube store, mapped", {'O', 'P', 'M', 'C'}, 2, Reader::kCubesMapped},
+      {"v2 cube store, eager", {'O', 'P', 'M', 'C'}, 2, Reader::kCubesEager},
+      {"v1 dataset", {'O', 'P', 'M', 'D'}, 1, Reader::kDataset},
+      {"v2 dataset", {'O', 'P', 'M', 'D'}, 2, Reader::kDataset},
+      {"v1 ingest manifest", {'O', 'P', 'M', 'M'}, 1, Reader::kManifest},
+  };
+  const std::string dir = TempPath("old_formats");
+  ASSERT_OK(Env::Default()->CreateDir(dir));
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path =
+        dir + "/" + (c.reader == Reader::kManifest ? "MANIFEST" : "old.bin");
+    WriteRaw(path, OldHeader(c.magic, c.version));
+    Status st;
+    switch (c.reader) {
+      case Reader::kCubesMapped:
+        st = CubeStore::LoadFromFile(path).status();
+        break;
+      case Reader::kCubesEager:
+        st = CubeStore::LoadFromFile(path, nullptr, CubeLoadOptions{false})
+                 .status();
+        break;
+      case Reader::kDataset:
+        st = LoadDatasetFromFile(path).status();
+        break;
+      case Reader::kManifest:
+        st = Ingester::Open(nullptr, dir, IngestOptions{}).status();
+        break;
+    }
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kIOError);
+    const std::string& msg = st.message();
+    EXPECT_NE(msg.find("'" + path + "'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("version " + std::to_string(c.version)),
+              std::string::npos)
+        << msg;
+    EXPECT_EQ(msg.find("CRC"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("magic"), std::string::npos) << msg;
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

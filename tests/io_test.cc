@@ -116,9 +116,9 @@ Dataset MixedDataset() {
 
 TEST(DatasetIo, RoundTripPreservesEverything) {
   Dataset original = MixedDataset();
-  std::stringstream buf;
+  std::ostringstream buf;
   ASSERT_OK(SaveDataset(original, &buf));
-  ASSERT_OK_AND_ASSIGN(Dataset loaded, LoadDataset(&buf));
+  ASSERT_OK_AND_ASSIGN(Dataset loaded, LoadDatasetFromBytes(buf.str()));
 
   ASSERT_EQ(loaded.num_rows(), original.num_rows());
   ASSERT_EQ(loaded.num_attributes(), original.num_attributes());
@@ -149,26 +149,68 @@ TEST(DatasetIo, FileRoundTrip) {
   EXPECT_FALSE(LoadDatasetFromFile(path).ok());
 }
 
+// Columns are entries of one index section, not sections of their own, so
+// a dataset may be wider than the container's 1,024-section cap.
+TEST(DatasetIo, WiderThanTheSectionCapRoundTrips) {
+  constexpr int kAttrs = 1100;
+  std::vector<Attribute> attrs;
+  for (int a = 0; a < kAttrs; ++a) {
+    std::string name = "a";
+    name.append(std::to_string(a));
+    if (a % 3 == 1) {
+      attrs.push_back(Attribute::Continuous(std::move(name)));
+    } else {
+      attrs.push_back(Attribute::Categorical(std::move(name), {"x", "y"}));
+    }
+  }
+  ASSERT_OK_AND_ASSIGN(Schema schema,
+                       Schema::Make(std::move(attrs), 0));
+  Dataset original(std::move(schema));
+  for (int r = 0; r < 5; ++r) {
+    std::vector<Cell> row;
+    for (int a = 0; a < kAttrs; ++a) {
+      row.push_back(a % 3 == 1 ? Cell::Numeric(r * 0.5 + a)
+                               : Cell::Categorical(
+                                     static_cast<ValueCode>((r + a) % 2)));
+    }
+    ASSERT_OK(original.AppendRow(row));
+  }
+  const std::string path = ::testing::TempDir() + "/opmap_io_wide.opmd";
+  ASSERT_OK(SaveDatasetToFile(original, path));
+  ASSERT_OK_AND_ASSIGN(Dataset loaded, LoadDatasetFromFile(path));
+  std::remove(path.c_str());
+  ASSERT_EQ(loaded.num_attributes(), kAttrs);
+  ASSERT_EQ(loaded.num_rows(), original.num_rows());
+  for (int64_t r = 0; r < original.num_rows(); ++r) {
+    for (int a = 0; a < kAttrs; ++a) {
+      if (a % 3 == 1) {
+        EXPECT_EQ(loaded.number(r, a), original.number(r, a));
+      } else {
+        EXPECT_EQ(loaded.code(r, a), original.code(r, a));
+      }
+    }
+  }
+}
+
 TEST(DatasetIo, RejectsCorruptInput) {
   Dataset original = MixedDataset();
-  std::stringstream buf;
+  std::ostringstream buf;
   ASSERT_OK(SaveDataset(original, &buf));
   std::string bytes = buf.str();
   // Corrupt the magic.
   bytes[0] = 'X';
-  std::stringstream bad(bytes);
-  EXPECT_FALSE(LoadDataset(&bad).ok());
+  EXPECT_FALSE(LoadDatasetFromBytes(bytes).ok());
   // Truncate.
-  std::stringstream truncated(buf.str().substr(0, buf.str().size() / 2));
-  EXPECT_FALSE(LoadDataset(&truncated).ok());
+  EXPECT_FALSE(
+      LoadDatasetFromBytes(buf.str().substr(0, buf.str().size() / 2)).ok());
 }
 
 TEST(DatasetIo, VersionCheck) {
-  std::stringstream buf;
+  std::ostringstream buf;
   buf.write("OPMD", 4);
   BinaryWriter w(&buf);
   w.WriteU32(999);  // future version
-  EXPECT_FALSE(LoadDataset(&buf).ok());
+  EXPECT_FALSE(LoadDatasetFromBytes(buf.str()).ok());
 }
 
 TEST(SetColumnData, Validation) {
@@ -199,9 +241,9 @@ TEST(CubeIo, RoundTripPreservesCountsAndComparisons) {
   Dataset d = gen.Generate();
   ASSERT_OK_AND_ASSIGN(CubeStore original, CubeBuilder::FromDataset(d));
 
-  std::stringstream buf;
+  std::ostringstream buf;
   ASSERT_OK(original.Save(&buf));
-  ASSERT_OK_AND_ASSIGN(CubeStore loaded, CubeStore::Load(&buf));
+  ASSERT_OK_AND_ASSIGN(CubeStore loaded, CubeStore::LoadFromBytes(buf.str()));
 
   EXPECT_EQ(loaded.num_records(), original.num_records());
   EXPECT_EQ(loaded.NumCubes(), original.NumCubes());
@@ -243,14 +285,12 @@ TEST(CubeIo, RejectsCorruptInput) {
   AppendRows(&d, {0, 0}, 5);
   AppendRows(&d, {1, 1}, 5);
   ASSERT_OK_AND_ASSIGN(CubeStore store, CubeBuilder::FromDataset(d));
-  std::stringstream buf;
+  std::ostringstream buf;
   ASSERT_OK(store.Save(&buf));
   std::string bytes = buf.str();
   bytes[1] = 'Z';
-  std::stringstream bad(bytes);
-  EXPECT_FALSE(CubeStore::Load(&bad).ok());
-  std::stringstream truncated(buf.str().substr(0, 20));
-  EXPECT_FALSE(CubeStore::Load(&truncated).ok());
+  EXPECT_FALSE(CubeStore::LoadFromBytes(bytes).ok());
+  EXPECT_FALSE(CubeStore::LoadFromBytes(buf.str().substr(0, 20)).ok());
 }
 
 TEST(CubeIo, FileRoundTrip) {

@@ -564,9 +564,9 @@ class SerdeProperty : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(SerdeProperty, DatasetRoundTripIsExact) {
   const uint64_t seed = GetParam();
   Dataset d = RandomDataset(seed, 4, 5, 300, /*null_fraction=*/0.1);
-  std::stringstream buf;
+  std::ostringstream buf;
   ASSERT_OK(SaveDataset(d, &buf));
-  ASSERT_OK_AND_ASSIGN(Dataset loaded, LoadDataset(&buf));
+  ASSERT_OK_AND_ASSIGN(Dataset loaded, LoadDatasetFromBytes(buf.str()));
   ASSERT_EQ(loaded.num_rows(), d.num_rows());
   for (int64_t r = 0; r < d.num_rows(); ++r) {
     for (int a = 0; a < d.num_attributes(); ++a) {
@@ -578,27 +578,25 @@ TEST_P(SerdeProperty, DatasetRoundTripIsExact) {
 TEST_P(SerdeProperty, TruncationAlwaysFailsCleanly) {
   const uint64_t seed = GetParam();
   Dataset d = RandomDataset(seed, 3, 4, 50);
-  std::stringstream buf;
+  std::ostringstream buf;
   ASSERT_OK(SaveDataset(d, &buf));
   const std::string bytes = buf.str();
   Rng rng(seed ^ 0xfeed);
   for (int trial = 0; trial < 40; ++trial) {
     const size_t cut = static_cast<size_t>(
         rng.NextBounded(static_cast<uint64_t>(bytes.size())));
-    std::stringstream truncated(bytes.substr(0, cut));
-    auto result = LoadDataset(&truncated);
+    auto result = LoadDatasetFromBytes(bytes.substr(0, cut));
     EXPECT_FALSE(result.ok()) << "truncation at " << cut << " succeeded";
   }
   // Cube stores: same property.
   ASSERT_OK_AND_ASSIGN(CubeStore store, CubeBuilder::FromDataset(d));
-  std::stringstream cube_buf;
+  std::ostringstream cube_buf;
   ASSERT_OK(store.Save(&cube_buf));
   const std::string cube_bytes = cube_buf.str();
   for (int trial = 0; trial < 40; ++trial) {
     const size_t cut = static_cast<size_t>(
         rng.NextBounded(static_cast<uint64_t>(cube_bytes.size())));
-    std::stringstream truncated(cube_bytes.substr(0, cut));
-    auto result = CubeStore::Load(&truncated);
+    auto result = CubeStore::LoadFromBytes(cube_bytes.substr(0, cut));
     EXPECT_FALSE(result.ok()) << "truncation at " << cut << " succeeded";
   }
 }

@@ -1,26 +1,21 @@
 // Serving-path equivalence suite: the same queries must produce
-// byte-identical output whether the store was loaded from a v1, v2 or v3
-// file, eagerly or through the lazy v3 mapping, at any thread count, with
-// the shared result cache on or off (acceptance criterion of the zero-copy
-// serving change). Each configuration runs every query twice so the cached
+// byte-identical output whether the store file was loaded eagerly or
+// through the lazy mapping, at any thread count, with the shared result
+// cache on or off. Each configuration runs every query twice so the cached
 // second pass is compared against the baseline too.
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "opmap/common/serde.h"
 #include "opmap/compare/comparator.h"
 #include "opmap/compare/report.h"
 #include "opmap/core/session.h"
 #include "opmap/cube/cube_store.h"
 #include "opmap/data/call_log.h"
-#include "opmap/data/dataset_io.h"
 #include "test_util.h"
 
 namespace opmap {
@@ -40,47 +35,6 @@ Dataset ServingDataset() {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
-}
-
-// The seed's v1 format, written independently of the library's save path
-// (same replica as in fault_injection_test.cc).
-std::string WriteV1CubeBytes(const CubeStore& store) {
-  std::ostringstream out;
-  out.write("OPMC", 4);
-  BinaryWriter w(&out);
-  w.WriteU32(1);  // version
-  WriteSchema(store.schema(), &out);
-  w.WriteU64(store.attributes().size());
-  for (int a : store.attributes()) w.WriteI32(a);
-  w.WriteU8(1);  // has pair cubes
-  w.WriteI64(store.num_records());
-  w.WriteI64Vector(store.class_counts());
-  auto write_cube = [&w](const RuleCube& cube) {
-    w.WriteU64(static_cast<uint64_t>(cube.num_cells()));
-    for (int64_t i = 0; i < cube.num_cells(); ++i) {
-      w.WriteI64(cube.raw_counts()[i]);
-    }
-  };
-  for (int a : store.attributes()) {
-    auto cube = store.AttrCube(a);
-    EXPECT_TRUE(cube.ok());
-    write_cube(**cube);
-  }
-  const auto& attrs = store.attributes();
-  for (size_t i = 0; i < attrs.size(); ++i) {
-    for (size_t j = i + 1; j < attrs.size(); ++j) {
-      auto cube = store.PairCube(attrs[i], attrs[j]);
-      EXPECT_TRUE(cube.ok());
-      write_cube(**cube);
-    }
-  }
-  return out.str();
-}
-
-void WriteRaw(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
 }
 
 TEST(ServingEquivalence, ByteIdenticalAcrossFormatsThreadsAndCache) {
@@ -108,33 +62,21 @@ TEST(ServingEquivalence, ByteIdenticalAcrossFormatsThreadsAndCache) {
   ASSERT_OK(base_session.DrillDown(attr1));
   ASSERT_OK_AND_ASSIGN(std::string base_view, base_session.Render());
 
-  const std::string v1_path = TempPath("serving_v1.opmc");
-  const std::string v2_path = TempPath("serving_v2.opmc");
-  const std::string v3_path = TempPath("serving_v3.opmc");
-  WriteRaw(v1_path, WriteV1CubeBytes(built));
-  ASSERT_OK(built.SaveToFile(v2_path, nullptr, CubeStore::SaveFormat::kV2));
-  ASSERT_OK(built.SaveToFile(v3_path));  // defaults to kV3Aligned
+  const std::string path = TempPath("serving.opmc");
+  ASSERT_OK(built.SaveToFile(path));
 
   CubeLoadOptions eager;
   eager.use_mmap = false;
   std::vector<std::pair<std::string, CubeStore>> variants;
   {
-    ASSERT_OK_AND_ASSIGN(CubeStore s, CubeStore::LoadFromFile(v1_path));
-    variants.emplace_back("v1", std::move(s));
-  }
-  {
-    ASSERT_OK_AND_ASSIGN(CubeStore s, CubeStore::LoadFromFile(v2_path));
-    variants.emplace_back("v2", std::move(s));
-  }
-  {
     ASSERT_OK_AND_ASSIGN(CubeStore s,
-                         CubeStore::LoadFromFile(v3_path, nullptr, eager));
-    variants.emplace_back("v3-eager", std::move(s));
+                         CubeStore::LoadFromFile(path, nullptr, eager));
+    variants.emplace_back("eager", std::move(s));
   }
   {
-    ASSERT_OK_AND_ASSIGN(CubeStore s, CubeStore::LoadFromFile(v3_path));
+    ASSERT_OK_AND_ASSIGN(CubeStore s, CubeStore::LoadFromFile(path));
     ASSERT_TRUE(s.GetMappingStats().mapped);
-    variants.emplace_back("v3-mmap", std::move(s));
+    variants.emplace_back("mmap", std::move(s));
   }
 
   for (const auto& [name, store] : variants) {
@@ -173,9 +115,7 @@ TEST(ServingEquivalence, ByteIdenticalAcrossFormatsThreadsAndCache) {
   // verification must have covered the cubes the queries touched.
   EXPECT_GT(variants.back().second.GetMappingStats().cubes_verified, 0);
 
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
-  std::remove(v3_path.c_str());
+  std::remove(path.c_str());
 }
 
 }  // namespace
